@@ -60,8 +60,7 @@ Status Run(const BenchArgs& args) {
   }
   auto evaluate = [&](const std::vector<NodeId>& seeds) {
     return sketch ? OpinionSpreadAtPrefixesSketch(*sketch, corpus.estimated,
-                                                  seeds, grid, 1.0,
-                                                  common.sketch_eval)
+                                                  seeds, grid, 1.0)
                   : OpinionSpreadAtPrefixes(bg, influence, corpus.estimated,
                                             OiBase::kIndependentCascade,
                                             seeds, grid, 1.0, config.mc,

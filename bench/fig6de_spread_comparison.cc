@@ -49,8 +49,7 @@ Status Run(const BenchArgs& args) {
     auto report = [&](const std::string& name,
                       const std::vector<NodeId>& seeds) {
       auto values = eval_sketch
-                        ? SpreadAtPrefixesSketch(*eval_sketch, seeds, grid,
-                                                 common.sketch_eval)
+                        ? SpreadAtPrefixesSketch(*eval_sketch, seeds, grid)
                         : SpreadAtPrefixes(w.graph, w.params, seeds, grid,
                                            config.mc, config.seed);
       for (std::size_t i = 0; i < grid.size(); ++i) {

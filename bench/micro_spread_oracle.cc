@@ -8,11 +8,13 @@
 // bit-parallel speedup vs the scalar session) regress against the
 // committed baseline.
 //
-// The sketch legs carried over from earlier baselines are pinned to
-// --sketch-eval=scalar traversal so their seconds stay comparable across
-// baseline generations; the bit-parallel kernel (64 live-edge worlds per
-// machine word) gets its own timed legs, HOLIM_CHECKed bitwise-identical
-// to the scalar results before any timing is reported.
+// The sketch legs carried over from earlier baselines run on the scalar
+// per-snapshot reference (bench_support/sketch_reference.h: the same
+// worlds, one BFS per snapshot) so their seconds stay comparable across
+// baseline generations; the production oracle's bit-parallel kernel (64
+// live-edge worlds per machine word) gets its own timed legs,
+// HOLIM_CHECKed bitwise-identical to the scalar results before any timing
+// is reported. The arena figures are the production oracle's.
 //
 // All numbers are single-thread on purpose (explicit ThreadPool(1) for the
 // MC path, serial sampling/evaluation for the sketch path): the reference
@@ -34,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/sketch_reference.h"
 #include "common.h"
 #include "diffusion/sketch_oracle.h"
 #include "graph/generators.h"
@@ -147,6 +150,9 @@ Status Run(const BenchArgs& args) {
               "%.3fs\n",
               MemoryMeter::ToMiB(oracle.ArenaBytes()),
               arena_bytes_per_snapshot, sample_seconds);
+  const ScalarSketchReference reference(graph, params, snapshots, seed);
+  std::printf("scalar reference: %.1f MiB of per-snapshot worlds\n",
+              MemoryMeter::ToMiB(reference.ArenaBytes()));
 
   // ---- one-shot evaluation throughput: sketch vs MC ----------------------
   const std::vector<NodeId> eval_seeds = TopDegreeNodes(graph, k);
@@ -162,7 +168,7 @@ Status Run(const BenchArgs& args) {
   {
     Timer t;
     for (uint32_t i = 0; i < evals; ++i) {
-      sketch_value = oracle.Estimate(eval_seeds, SketchEval::kScalar);
+      sketch_value = reference.Estimate(eval_seeds);
     }
     sketch_eval_seconds = t.ElapsedSeconds();
   }
@@ -170,7 +176,7 @@ Status Run(const BenchArgs& args) {
   {
     Timer t;
     for (uint32_t i = 0; i < evals; ++i) {
-      bp_value = oracle.Estimate(eval_seeds, SketchEval::kBitParallel);
+      bp_value = oracle.Estimate(eval_seeds);
     }
     bp_eval_seconds = t.ElapsedSeconds();
   }
@@ -220,7 +226,7 @@ Status Run(const BenchArgs& args) {
         [&](NodeId u) {
           trial = committed;
           trial.push_back(u);
-          return oracle.Estimate(trial, SketchEval::kScalar) - committed_value;
+          return reference.Estimate(trial) - committed_value;
         },
         [&](NodeId u, double gain) {
           committed.push_back(u);
@@ -232,7 +238,7 @@ Status Run(const BenchArgs& args) {
   // k-round run, one snapshot walked at a time.
   CelfRun session_run;
   {
-    SketchOracle::Session session(oracle, SketchEval::kScalar);
+    ScalarSketchReference::Session session(reference);
     session_run =
         RunCelf(pool, k, [&](NodeId u) { return session.MarginalGain(u); },
                 [&](NodeId u, double) { session.Commit(u); });
@@ -241,30 +247,30 @@ Status Run(const BenchArgs& args) {
   // session evaluating 64 live-edge worlds per machine word.
   CelfRun bp_run;
   {
-    SketchOracle::Session session(oracle, SketchEval::kBitParallel);
+    SketchOracle::Session session(oracle);
     bp_run =
         RunCelf(pool, k, [&](NodeId u) { return session.MarginalGain(u); },
                 [&](NodeId u, double) { session.Commit(u); });
   }
   // The acceptance contract, verified outside the timed loops: a session
-  // in EITHER eval mode replaying the selected seeds has, after every
-  // commit, a spread bitwise equal to one-shot Estimate on the same prefix
-  // in either eval mode.
+  // (scalar reference or bit-parallel oracle) replaying the selected seeds
+  // has, after every commit, a spread bitwise equal to one-shot Estimate
+  // on the same prefix in either.
   {
-    SketchOracle::Session scalar_replay(oracle, SketchEval::kScalar);
-    SketchOracle::Session bp_replay(oracle, SketchEval::kBitParallel);
+    ScalarSketchReference::Session scalar_replay(reference);
+    SketchOracle::Session bp_replay(oracle);
     std::vector<NodeId> prefix;
     for (NodeId u : session_run.seeds) {
       scalar_replay.Commit(u);
       bp_replay.Commit(u);
       prefix.push_back(u);
-      const double sigma = oracle.Estimate(prefix, SketchEval::kScalar);
+      const double sigma = reference.Estimate(prefix);
       HOLIM_CHECK(scalar_replay.Spread() == sigma)
           << "session/one-shot divergence at round " << prefix.size();
       HOLIM_CHECK(bp_replay.Spread() == sigma)
           << "bit-parallel session diverged from scalar at round "
           << prefix.size();
-      HOLIM_CHECK(oracle.Estimate(prefix, SketchEval::kBitParallel) == sigma)
+      HOLIM_CHECK(oracle.Estimate(prefix) == sigma)
           << "bit-parallel one-shot diverged from scalar at round "
           << prefix.size();
     }

@@ -28,14 +28,12 @@ class IcnPositiveSpreadObjective : public McObjective {
   /// presampled worlds (SketchOracle::EstimateIcnPositive — exact in the
   /// quality flips given the worlds) instead of fresh Monte-Carlo runs;
   /// `options` is then only kept for reporting. The oracle must be built
-  /// on the same graph/params. `eval` picks the oracle traversal (results
-  /// are bitwise identical either way).
+  /// on the same graph/params.
   IcnPositiveSpreadObjective(const Graph& graph,
                              const InfluenceParams& params,
                              double quality_factor, const McOptions& options,
                              std::shared_ptr<const SketchOracle> sketch =
-                                 nullptr,
-                             SketchEval eval = SketchEval::kBitParallel);
+                                 nullptr);
 
   std::string name() const override { return "icn_positive"; }
   double Evaluate(const std::vector<NodeId>& seeds) override;
@@ -46,7 +44,6 @@ class IcnPositiveSpreadObjective : public McObjective {
   double quality_factor_;
   McOptions options_;
   std::shared_ptr<const SketchOracle> sketch_;
-  SketchEval eval_;
 };
 
 /// Monte-Carlo estimate of the expected positive spread under IC-N.

@@ -148,11 +148,6 @@ void DeclareCommonOptions(BenchArgs* args, const CommonOptionsSpec& spec) {
                   "evaluation: mc | sketch (default mc, the paper's "
                   "methodology; sketch reuses presampled live-edge "
                   "snapshots)");
-    args->Declare("sketch-eval",
-                  "sketch-oracle traversal: bitparallel | scalar (default "
-                  "bitparallel, 64 live-edge worlds per machine word; "
-                  "scalar walks one snapshot at a time — results are "
-                  "bitwise identical either way)");
   }
   if (spec.rescore_default != nullptr) {
     args->Declare("rescore",
@@ -201,13 +196,6 @@ Result<CommonOptions> ParseCommonOptions(const BenchArgs& args,
     } else if (oracle != "mc") {
       return Status::InvalidArgument("unknown --oracle (mc|sketch): " +
                                      oracle);
-    }
-    const std::string eval = args.GetString("sketch-eval", "bitparallel");
-    if (eval == "scalar") {
-      options.sketch_eval = SketchEval::kScalar;
-    } else if (eval != "bitparallel") {
-      return Status::InvalidArgument(
-          "unknown --sketch-eval (bitparallel|scalar): " + eval);
     }
   }
   if (spec.rescore_default != nullptr) {

@@ -2,27 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace holim {
-
-/// Per-shard sampling buffer: one block's snapshots back to back. The
-/// snapshot boundaries inside `entries` are recovered from each snapshot's
-/// final local offset (node_offsets holds n+1 values per snapshot).
-struct SketchOracle::SnapshotBuffer {
-  std::vector<NodeId> entries;
-  std::vector<uint32_t> edge_offsets;
-  std::vector<uint32_t> node_offsets;
-  uint32_t num_snapshots = 0;
-  // LT scratch: live picks arrive target-major, the arena is source-major.
-  std::vector<NodeId> lt_source;
-  std::vector<NodeId> lt_target;
-  std::vector<uint32_t> lt_edge_offset;
-  std::vector<uint32_t> counts;  // counting-sort offsets, n + 1
-};
 
 SketchOracle::SketchOracle(const Graph& graph, const InfluenceParams& params,
                            const SketchOptions& options)
@@ -37,312 +23,170 @@ SketchOracle::SketchOracle(const Graph& graph, const InfluenceParams& params,
   HOLIM_CHECK(params.probability.size() == graph.num_edges())
       << "params/graph edge count mismatch";
   HOLIM_CHECK(num_snapshots_ > 0) << "need at least one snapshot";
-  SampleAll(options.pool, options.deadline);
-  if (!build_status_.ok()) return;  // aborted build: arenas unusable
-  BuildLaneArena();
-  if (!record_edge_offsets_) {
-    // Edge offsets were recorded transiently to key the lane transpose
-    // (they disambiguate parallel edges and fix the per-source emit
-    // order); nobody reads them past this point unless requested.
-    edge_offsets_.clear();
-    edge_offsets_.shrink_to_fit();
-  }
+  Sample(options.pool, options.deadline);
 }
 
-void SketchOracle::SampleOne(uint32_t snapshot, SnapshotBuffer& buffer) const {
-  const NodeId n = graph_->num_nodes();
-  const std::size_t entry_base = buffer.entries.size();
-  if (params_.model == DiffusionModel::kLinearThreshold) {
-    // Live-edge LT: each node keeps at most one live in-edge, chosen with
-    // one uniform draw from its (snapshot, node) stream and the
-    // residual-probability scan (LiveEdgeSimulator's distribution). Nodes
-    // without in-edges draw nothing — the row-stream contract.
-    buffer.lt_source.clear();
-    buffer.lt_target.clear();
-    buffer.lt_edge_offset.clear();
-    for (NodeId v = 0; v < n; ++v) {
-      const auto in_edges = graph_->InEdgeIds(v);
-      if (in_edges.empty()) continue;
-      uint64_t state = NodeStreamState(snapshot, v);
+void SketchOracle::PickLiveInEdges(uint32_t g, NodeId lo, NodeId hi,
+                                   uint64_t* edge_mask) const {
+  // Live-edge LT: each node keeps at most one live in-edge per snapshot,
+  // chosen with one uniform draw from its (snapshot, node) stream and the
+  // residual-probability scan (LiveEdgeSimulator's distribution). Nodes
+  // without in-edges draw nothing — the row-stream contract.
+  const uint32_t s_lo = g * kLanesPerGroup;
+  const uint32_t lanes = LaneCount(g);
+  for (NodeId v = lo; v < hi; ++v) {
+    const auto in_edges = graph_->InEdgeIds(v);
+    if (in_edges.empty()) continue;
+    for (uint32_t b = 0; b < lanes; ++b) {
+      uint64_t state = RowStreamState(seed_, s_lo + b, v);
       double r = UnitDouble(Rng::SplitMix64(state));
-      std::size_t pick = in_edges.size();
-      for (std::size_t i = 0; i < in_edges.size(); ++i) {
-        const double w = params_.p(in_edges[i]);
+      for (const EdgeId e : in_edges) {
+        const double w = params_.p(e);
         if (r < w) {
-          pick = i;
+          edge_mask[e] |= uint64_t{1} << b;
           break;
         }
-        r -= w;
-      }
-      if (pick == in_edges.size()) continue;  // residual mass: no live edge
-      const NodeId u = graph_->InNeighbors(v)[pick];
-      const EdgeId e = in_edges[pick];
-      buffer.lt_source.push_back(u);
-      buffer.lt_target.push_back(v);
-      buffer.lt_edge_offset.push_back(
-          static_cast<uint32_t>(e - graph_->OutEdgeBegin(u)));
-    }
-    // Counting sort by source into the snapshot-local CSR. Scatter order
-    // is target-ascending within each source (the discovery order above).
-    buffer.counts.assign(n + 1, 0);
-    for (NodeId u : buffer.lt_source) ++buffer.counts[u + 1];
-    for (NodeId u = 0; u < n; ++u) buffer.counts[u + 1] += buffer.counts[u];
-    buffer.node_offsets.insert(buffer.node_offsets.end(),
-                               buffer.counts.begin(), buffer.counts.end());
-    buffer.entries.resize(entry_base + buffer.lt_source.size());
-    buffer.edge_offsets.resize(buffer.entries.size());
-    for (std::size_t i = 0; i < buffer.lt_source.size(); ++i) {
-      const NodeId u = buffer.lt_source[i];
-      const std::size_t slot = entry_base + buffer.counts[u]++;
-      buffer.entries[slot] = buffer.lt_target[i];
-      buffer.edge_offsets[slot] = buffer.lt_edge_offset[i];
-    }
-    return;
-  }
-  // IC/WC: every edge flips independently, in EdgeId order, each source
-  // row drawing from its own (snapshot, node) stream.
-  for (NodeId u = 0; u < n; ++u) {
-    buffer.node_offsets.push_back(
-        static_cast<uint32_t>(buffer.entries.size() - entry_base));
-    const EdgeId base = graph_->OutEdgeBegin(u);
-    auto neighbors = graph_->OutNeighbors(u);
-    if (neighbors.empty()) continue;
-    uint64_t state = NodeStreamState(snapshot, u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      if (UnitDouble(Rng::SplitMix64(state)) < params_.p(base + i)) {
-        buffer.entries.push_back(neighbors[i]);
-        buffer.edge_offsets.push_back(static_cast<uint32_t>(i));
+        r -= w;  // falling off the row is the residual mass: no live edge
       }
     }
   }
-  buffer.node_offsets.push_back(
-      static_cast<uint32_t>(buffer.entries.size() - entry_base));
 }
 
-void SketchOracle::SampleAll(ThreadPool* pool, Deadline* deadline) {
-  const NodeId n = graph_->num_nodes();
-  const std::size_t num_blocks =
-      (num_snapshots_ + kSnapshotBlockSize - 1) / kSnapshotBlockSize;
-  node_offsets_.reserve(static_cast<std::size_t>(num_snapshots_) * (n + 1));
-  entry_base_.reserve(num_snapshots_ + 1);
-  entry_base_.push_back(0);
+void SketchOracle::AppendRow(uint32_t g, NodeId u, uint64_t* lt_edge_mask,
+                             std::vector<uint64_t>& row_mask,
+                             LaneRows& out) const {
+  const auto row = graph_->OutNeighbors(u);
+  if (row.empty()) return;
+  const EdgeId base = graph_->OutEdgeBegin(u);
+  uint64_t* mask;
+  if (lt_edge_mask != nullptr) {
+    mask = lt_edge_mask + base;  // picks scattered by PickLiveInEdges
+  } else {
+    // IC/WC: every lane flips u's out-edges independently, in EdgeId
+    // order, from its own (snapshot, u) stream.
+    row_mask.assign(row.size(), 0);
+    mask = row_mask.data();
+    const uint32_t s_lo = g * kLanesPerGroup;
+    const uint32_t lanes = LaneCount(g);
+    for (uint32_t b = 0; b < lanes; ++b) {
+      uint64_t state = RowStreamState(seed_, s_lo + b, u);
+      const uint64_t bit = uint64_t{1} << b;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        if (UnitDouble(Rng::SplitMix64(state)) < params_.p(base + i)) {
+          mask[i] |= bit;
+        }
+      }
+    }
+  }
+  // Emit EdgeId-ascending; the scan doubles as the LT scratch clear.
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (mask[i] == 0) continue;
+    out.targets.push_back(row[i]);
+    out.masks.push_back(mask[i]);
+    if (record_edge_offsets_) {
+      out.edge_offsets.push_back(static_cast<uint32_t>(i));
+    }
+    mask[i] = 0;
+  }
+}
 
-  // Waves of one block per shard, merged in block order (same shape as
-  // RrCollection::GenerateParallel). The per-(snapshot, node) streams are
-  // keyed by global snapshot index, so the merged arena is independent of
-  // the pool size and block decomposition; peak transient memory is one
-  // wave of shard buffers.
+void SketchOracle::AppendEntries(const LaneRows& from, std::size_t lo,
+                                 std::size_t hi) {
+  rows_.targets.insert(rows_.targets.end(), from.targets.begin() + lo,
+                       from.targets.begin() + hi);
+  rows_.masks.insert(rows_.masks.end(), from.masks.begin() + lo,
+                     from.masks.begin() + hi);
+  if (record_edge_offsets_) {
+    rows_.edge_offsets.insert(rows_.edge_offsets.end(),
+                              from.edge_offsets.begin() + lo,
+                              from.edge_offsets.begin() + hi);
+  }
+}
+
+void SketchOracle::ShrinkArena() {
+  rows_.targets.shrink_to_fit();
+  rows_.masks.shrink_to_fit();
+  rows_.edge_offsets.shrink_to_fit();
+  node_offsets_.shrink_to_fit();
+  entry_base_.shrink_to_fit();
+}
+
+void SketchOracle::Sample(ThreadPool* pool, Deadline* deadline) {
+  const NodeId n = graph_->num_nodes();
+  const bool lt = params_.model == DiffusionModel::kLinearThreshold;
+  rows_.targets.clear();
+  rows_.masks.clear();
+  rows_.edge_offsets.clear();
+  node_offsets_.assign(static_cast<std::size_t>(num_lane_groups_) * (n + 1),
+                       0);
+  entry_base_.assign(num_lane_groups_ + 1, 0);
+  // Shards are contiguous node ranges merged in range order, so the arena
+  // is independent of the shard count (and thus of the pool); peak
+  // transient memory is one lane group's rows plus, for LT, one lane word
+  // per edge.
   const std::size_t shards =
       pool ? std::max<std::size_t>(
-                 1, std::min<std::size_t>(pool->num_threads() * 2, num_blocks))
+                 1, std::min<std::size_t>(pool->num_threads() * 2, n))
            : 1;
-  std::vector<SnapshotBuffer> buffers(shards);
-  for (std::size_t wave_start = 0; wave_start < num_blocks;
-       wave_start += shards) {
-    const std::size_t wave_blocks = std::min(shards, num_blocks - wave_start);
+  auto shard_lo = [&](std::size_t w) {
+    return static_cast<NodeId>(static_cast<uint64_t>(n) * w / shards);
+  };
+  auto for_each_shard = [&](const std::function<void(std::size_t)>& fn) {
+    if (pool) {
+      pool->ParallelFor(shards, fn);
+    } else {
+      for (std::size_t w = 0; w < shards; ++w) fn(w);
+    }
+  };
+  std::vector<LaneRows> buffers(shards);
+  std::vector<std::vector<uint64_t>> row_masks(shards);
+  std::vector<uint64_t> lt_edge_mask(lt ? graph_->num_edges() : 0, 0);
+  for (uint32_t g = 0; g < num_lane_groups_; ++g) {
     if (deadline) {
-      // One tick per sampling block, charged at the wave boundary (wave
-      // width is thread-count-dependent; the block count is not).
-      Status st = deadline->CheckN(wave_blocks);
+      // Charged per lane group, before its work; groups hold a multiple
+      // of kSnapshotsPerTick lanes except the last, so a whole build
+      // charges ceil(R / kSnapshotsPerTick) ticks for any pool size.
+      Status st = deadline->CheckN(
+          (LaneCount(g) + kSnapshotsPerTick - 1) / kSnapshotsPerTick);
       if (!st.ok()) {
         build_status_ = std::move(st);
         return;
       }
     }
-    auto sample_block = [&](std::size_t w) {
-      SnapshotBuffer& buffer = buffers[w];
-      buffer.entries.clear();
+    if (lt) {
+      for_each_shard([&](std::size_t w) {
+        PickLiveInEdges(g, shard_lo(w), shard_lo(w + 1), lt_edge_mask.data());
+      });
+    }
+    uint32_t* offsets =
+        node_offsets_.data() + static_cast<std::size_t>(g) * (n + 1);
+    for_each_shard([&](std::size_t w) {
+      LaneRows& buffer = buffers[w];
+      buffer.targets.clear();
+      buffer.masks.clear();
       buffer.edge_offsets.clear();
-      buffer.node_offsets.clear();
-      buffer.num_snapshots = 0;
-      const std::size_t b = wave_start + w;
-      const std::size_t lo = b * kSnapshotBlockSize;
-      const std::size_t count =
-          std::min(kSnapshotBlockSize,
-                   static_cast<std::size_t>(num_snapshots_) - lo);
-      for (std::size_t i = 0; i < count; ++i) {
-        SampleOne(static_cast<uint32_t>(lo + i), buffer);
-        ++buffer.num_snapshots;
+      for (NodeId u = shard_lo(w); u < shard_lo(w + 1); ++u) {
+        offsets[u] = static_cast<uint32_t>(buffer.targets.size());
+        AppendRow(g, u, lt ? lt_edge_mask.data() : nullptr, row_masks[w],
+                  buffer);
       }
-    };
-    if (pool) {
-      pool->ParallelFor(wave_blocks, sample_block);
-    } else {
-      for (std::size_t w = 0; w < wave_blocks; ++w) sample_block(w);
-    }
-    for (std::size_t w = 0; w < wave_blocks; ++w) {
-      const SnapshotBuffer& buffer = buffers[w];
-      std::size_t entry_cursor = 0;
-      for (uint32_t j = 0; j < buffer.num_snapshots; ++j) {
-        const std::size_t size =
-            buffer.node_offsets[static_cast<std::size_t>(j) * (n + 1) + n];
-        entries_.insert(entries_.end(),
-                        buffer.entries.begin() + entry_cursor,
-                        buffer.entries.begin() + entry_cursor + size);
-        edge_offsets_.insert(edge_offsets_.end(),
-                             buffer.edge_offsets.begin() + entry_cursor,
-                             buffer.edge_offsets.begin() + entry_cursor +
-                                 size);
-        entry_cursor += size;
-        entry_base_.push_back(entries_.size());
+    });
+    const std::size_t group_base = rows_.targets.size();
+    for (std::size_t w = 0; w < shards; ++w) {
+      const uint32_t shift =
+          static_cast<uint32_t>(rows_.targets.size() - group_base);
+      for (NodeId u = shard_lo(w); u < shard_lo(w + 1); ++u) {
+        offsets[u] += shift;
       }
-      node_offsets_.insert(node_offsets_.end(), buffer.node_offsets.begin(),
-                           buffer.node_offsets.end());
+      AppendEntries(buffers[w], 0, buffers[w].targets.size());
     }
-  }
-  // The arena is immutable from here on: trim growth slack so ArenaBytes()
-  // is exact and deterministic.
-  entries_.shrink_to_fit();
-  edge_offsets_.shrink_to_fit();
-  node_offsets_.shrink_to_fit();
-  entry_base_.shrink_to_fit();
-}
-
-void SketchOracle::BuildLaneArena() {
-  const NodeId n = graph_->num_nodes();
-  lane_node_offsets_.assign(
-      static_cast<std::size_t>(num_lane_groups_) * (n + 1), 0);
-  lane_entry_base_.assign(num_lane_groups_ + 1, 0);
-  // One lane word per global edge: bit b marks "live in snapshot
-  // group_lo + b". m words of transient scratch, reused across groups —
-  // the scatter stays within an L2/L3-sized array while the scalar arena
-  // is streamed front to back.
-  std::vector<uint64_t> edge_mask(graph_->num_edges(), 0);
-  for (uint32_t g = 0; g < num_lane_groups_; ++g) {
-    const uint32_t s_lo = g * kLanesPerGroup;
-    const uint32_t s_hi =
-        std::min<uint32_t>(num_snapshots_, s_lo + kLanesPerGroup);
-    for (uint32_t s = s_lo; s < s_hi; ++s) {
-      const uint32_t* offsets =
-          node_offsets_.data() + static_cast<std::size_t>(s) * (n + 1);
-      const uint32_t* edge_offs = edge_offsets_.data() + entry_base_[s];
-      const uint64_t bit = uint64_t{1} << (s - s_lo);
-      for (NodeId u = 0; u < n; ++u) {
-        const EdgeId base = graph_->OutEdgeBegin(u);
-        for (uint32_t j = offsets[u]; j < offsets[u + 1]; ++j) {
-          edge_mask[base + edge_offs[j]] |= bit;
-        }
-      }
-    }
-    // Emit the union adjacency EdgeId-ascending per source — the same
-    // per-source order every scalar snapshot stores its IC/WC entries in,
-    // so lane-filtering the union reproduces the scalar walk exactly.
-    // The emit scan doubles as the scratch clear.
-    uint32_t* offsets = lane_node_offsets_.data() +
-                        static_cast<std::size_t>(g) * (n + 1);
-    const std::size_t group_base = lane_targets_.size();
-    for (NodeId u = 0; u < n; ++u) {
-      offsets[u] = static_cast<uint32_t>(lane_targets_.size() - group_base);
-      const EdgeId base = graph_->OutEdgeBegin(u);
-      auto neighbors = graph_->OutNeighbors(u);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const uint64_t mask = edge_mask[base + i];
-        if (mask == 0) continue;
-        edge_mask[base + i] = 0;
-        lane_targets_.push_back(neighbors[i]);
-        lane_masks_.push_back(mask);
-        if (record_edge_offsets_) {
-          lane_edge_offsets_.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-    offsets[n] = static_cast<uint32_t>(lane_targets_.size() - group_base);
-    HOLIM_CHECK(lane_targets_.size() - group_base <=
+    HOLIM_CHECK(rows_.targets.size() - group_base <=
                 std::numeric_limits<uint32_t>::max())
         << "lane group overflows 32-bit CSR offsets";
-    lane_entry_base_[g + 1] = lane_targets_.size();
+    offsets[n] = static_cast<uint32_t>(rows_.targets.size() - group_base);
+    entry_base_[g + 1] = rows_.targets.size();
   }
-  lane_targets_.shrink_to_fit();
-  lane_masks_.shrink_to_fit();
-  lane_edge_offsets_.shrink_to_fit();
-  lane_node_offsets_.shrink_to_fit();
-  lane_entry_base_.shrink_to_fit();
-}
-
-double SketchOracle::Estimate(std::span<const NodeId> seeds,
-                              SketchEval eval) const {
-  if (seeds.empty()) return 0.0;
-  const int64_t total_reached = eval == SketchEval::kScalar
-                                    ? EstimateScalar(seeds)
-                                    : EstimateLanes(seeds);
-  const int64_t spread =
-      total_reached - static_cast<int64_t>(num_snapshots_) *
-                          static_cast<int64_t>(seeds.size());
-  return static_cast<double>(spread) / num_snapshots_;
-}
-
-double SketchOracle::EstimateWeighted(std::span<const NodeId> seeds,
-                                      std::span<const double> node_weights,
-                                      SketchEval eval) const {
-  if (seeds.empty()) return 0.0;
-  HOLIM_CHECK(node_weights.size() == graph_->num_nodes())
-      << "weight/node count mismatch";
-  const double total_weight = eval == SketchEval::kScalar
-                                  ? EstimateScalarWeighted(seeds, node_weights)
-                                  : EstimateLanesWeighted(seeds, node_weights);
-  // Mirror Estimate's |S| exclusion: each seed entry contributes its
-  // weight R times (duplicates included, like R * seeds.size()). The
-  // subtraction and single division reproduce Estimate's arithmetic
-  // bit-for-bit when every weight is 1.0.
-  double seed_weight = 0.0;
-  for (const NodeId seed : seeds) seed_weight += node_weights[seed];
-  return (total_weight - static_cast<double>(num_snapshots_) * seed_weight) /
-         num_snapshots_;
-}
-
-double SketchOracle::EstimateScalarWeighted(
-    std::span<const NodeId> seeds, std::span<const double> weights) const {
-  const NodeId n = graph_->num_nodes();
-  double total_weight = 0.0;
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    visited_.Reset(n);
-    queue_.clear();
-    for (NodeId seed : seeds) {
-      if (visited_.Contains(seed)) continue;
-      visited_.Insert(seed);
-      queue_.push_back(seed);
-      total_weight += weights[seed];
-    }
-    while (!queue_.empty()) {
-      const NodeId v = queue_.back();
-      queue_.pop_back();
-      for (NodeId t : LiveTargets(s, v)) {
-        if (visited_.Contains(t)) continue;
-        visited_.Insert(t);
-        queue_.push_back(t);
-        total_weight += weights[t];
-      }
-    }
-  }
-  return total_weight;
-}
-
-int64_t SketchOracle::EstimateScalar(std::span<const NodeId> seeds) const {
-  const NodeId n = graph_->num_nodes();
-  int64_t total_reached = 0;
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    visited_.Reset(n);
-    queue_.clear();
-    int64_t reached = 0;
-    for (NodeId seed : seeds) {
-      if (visited_.Contains(seed)) continue;
-      visited_.Insert(seed);
-      queue_.push_back(seed);
-      ++reached;
-    }
-    while (!queue_.empty()) {
-      const NodeId v = queue_.back();
-      queue_.pop_back();
-      for (NodeId t : LiveTargets(s, v)) {
-        if (visited_.Contains(t)) continue;
-        visited_.Insert(t);
-        queue_.push_back(t);
-        ++reached;
-      }
-    }
-    total_reached += reached;
-  }
-  return total_reached;
+  ShrinkArena();
 }
 
 /// Distance (in edges) the lane walks prefetch target state ahead of the
@@ -351,13 +195,22 @@ int64_t SketchOracle::EstimateScalar(std::span<const NodeId> seeds) const {
 /// a short lookahead hides most of the miss latency.
 constexpr uint32_t kLanePrefetchDistance = 8;
 
-int64_t SketchOracle::EstimateLanes(std::span<const NodeId> seeds) const {
+template <bool kWeighted>
+std::conditional_t<kWeighted, double, int64_t> SketchOracle::SumReached(
+    std::span<const NodeId> seeds, std::span<const double> weights) const {
   const NodeId n = graph_->num_nodes();
   if (lane_state_.size() != n) {
     lane_state_.assign(n, 0);
     lane_pending_.assign(n, 0);
   }
-  int64_t total_reached = 0;
+  std::conditional_t<kWeighted, double, int64_t> total = 0;
+  auto credit = [&](uint64_t fresh, NodeId node) {
+    if constexpr (kWeighted) {
+      total += std::popcount(fresh) * weights[node];
+    } else {
+      total += std::popcount(fresh);
+    }
+  };
   for (uint32_t g = 0; g < num_lane_groups_; ++g) {
     const uint64_t full = LaneMaskAll(g);
     queue_.clear();     // worklist (pending_ words are the real frontier)
@@ -365,7 +218,7 @@ int64_t SketchOracle::EstimateLanes(std::span<const NodeId> seeds) const {
     for (NodeId seed : seeds) {
       const uint64_t fresh = full & ~lane_state_[seed];
       if (fresh == 0) continue;  // duplicate seed
-      total_reached += std::popcount(fresh);
+      credit(fresh, seed);
       if (lane_state_[seed] == 0) frontier_.push_back(seed);
       lane_state_[seed] |= fresh;
       if (lane_pending_[seed] == 0) queue_.push_back(seed);
@@ -390,7 +243,7 @@ int64_t SketchOracle::EstimateLanes(std::span<const NodeId> seeds) const {
         const NodeId t = adj.targets[j];
         const uint64_t fresh = adj.masks[j] & active & ~lane_state_[t];
         if (fresh == 0) continue;
-        total_reached += std::popcount(fresh);
+        credit(fresh, t);
         if (lane_state_[t] == 0) frontier_.push_back(t);
         lane_state_[t] |= fresh;
         if (lane_pending_[t] == 0) queue_.push_back(t);
@@ -399,74 +252,44 @@ int64_t SketchOracle::EstimateLanes(std::span<const NodeId> seeds) const {
     }
     for (NodeId t : frontier_) lane_state_[t] = 0;
   }
-  return total_reached;
+  return total;
 }
 
-double SketchOracle::EstimateLanesWeighted(
-    std::span<const NodeId> seeds, std::span<const double> weights) const {
-  const NodeId n = graph_->num_nodes();
-  if (lane_state_.size() != n) {
-    lane_state_.assign(n, 0);
-    lane_pending_.assign(n, 0);
-  }
-  double total_weight = 0.0;
-  for (uint32_t g = 0; g < num_lane_groups_; ++g) {
-    const uint64_t full = LaneMaskAll(g);
-    queue_.clear();
-    frontier_.clear();
-    for (NodeId seed : seeds) {
-      const uint64_t fresh = full & ~lane_state_[seed];
-      if (fresh == 0) continue;  // duplicate seed
-      total_weight += std::popcount(fresh) * weights[seed];
-      if (lane_state_[seed] == 0) frontier_.push_back(seed);
-      lane_state_[seed] |= fresh;
-      if (lane_pending_[seed] == 0) queue_.push_back(seed);
-      lane_pending_[seed] |= fresh;
-    }
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const NodeId v = queue_[head];
-      const uint64_t active = lane_pending_[v];
-      if (active == 0) continue;
-      lane_pending_[v] = 0;
-      if (head + 1 < queue_.size()) PrefetchLaneRow(g, queue_[head + 1]);
-      if (head + 2 < queue_.size()) PrefetchLaneOffsets(g, queue_[head + 2]);
-      const LaneAdjacency adj = LaneTargets(g, v);
-      for (uint32_t j = 0; j < adj.size; ++j) {
-        if (j + kLanePrefetchDistance < adj.size) {
-          __builtin_prefetch(
-              &lane_state_[adj.targets[j + kLanePrefetchDistance]]);
-        }
-        const NodeId t = adj.targets[j];
-        const uint64_t fresh = adj.masks[j] & active & ~lane_state_[t];
-        if (fresh == 0) continue;
-        total_weight += std::popcount(fresh) * weights[t];
-        if (lane_state_[t] == 0) frontier_.push_back(t);
-        lane_state_[t] |= fresh;
-        if (lane_pending_[t] == 0) queue_.push_back(t);
-        lane_pending_[t] |= fresh;
-      }
-    }
-    for (NodeId t : frontier_) lane_state_[t] = 0;
-  }
-  return total_weight;
+double SketchOracle::Estimate(std::span<const NodeId> seeds) const {
+  if (seeds.empty()) return 0.0;
+  const int64_t spread =
+      SumReached</*kWeighted=*/false>(seeds, {}) -
+      static_cast<int64_t>(num_snapshots_) * static_cast<int64_t>(seeds.size());
+  return static_cast<double>(spread) / num_snapshots_;
+}
+
+double SketchOracle::EstimateWeighted(
+    std::span<const NodeId> seeds, std::span<const double> node_weights) const {
+  if (seeds.empty()) return 0.0;
+  HOLIM_CHECK(node_weights.size() == graph_->num_nodes())
+      << "weight/node count mismatch";
+  const double total_weight =
+      SumReached</*kWeighted=*/true>(seeds, node_weights);
+  // Mirror Estimate's |S| exclusion: each seed entry contributes its
+  // weight R times (duplicates included, like R * seeds.size()). The
+  // subtraction and single division reproduce Estimate's arithmetic
+  // bit-for-bit when every weight is 1.0.
+  double seed_weight = 0.0;
+  for (const NodeId seed : seeds) seed_weight += node_weights[seed];
+  return (total_weight - static_cast<double>(num_snapshots_) * seed_weight) /
+         num_snapshots_;
 }
 
 double SketchOracle::EstimateIcnPositive(std::span<const NodeId> seeds,
-                                         double quality_factor,
-                                         SketchEval eval) const {
+                                         double quality_factor) const {
   if (seeds.empty()) return 0.0;
   HOLIM_CHECK(quality_factor >= 0.0 && quality_factor <= 1.0)
       << "quality factor out of [0,1]";
   icn_level_counts_.clear();
-  if (eval == SketchEval::kScalar) {
-    AccumulateIcnLevelCountsScalar(seeds);
-  } else {
-    AccumulateIcnLevelCountsLanes(seeds);
-  }
-  // Shared fold: both traversals produce the same integer per-distance
-  // activation counts (summed over snapshots), so the estimate is bitwise
-  // identical across eval modes. Nodes at live-edge distance d are
-  // positive w.p. q^(d+1).
+  AccumulateIcnLevelCounts(seeds);
+  // Integer per-distance activation counts (summed over snapshots) folded
+  // through one q-polynomial: nodes at live-edge distance d are positive
+  // w.p. q^(d+1).
   double total = 0.0;
   double factor = quality_factor * quality_factor;  // d == 1
   for (const int64_t count : icn_level_counts_) {
@@ -476,43 +299,7 @@ double SketchOracle::EstimateIcnPositive(std::span<const NodeId> seeds,
   return total / num_snapshots_;
 }
 
-void SketchOracle::AccumulateIcnLevelCountsScalar(
-    std::span<const NodeId> seeds) const {
-  const NodeId n = graph_->num_nodes();
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    visited_.Reset(n);
-    queue_.clear();
-    for (NodeId seed : seeds) {
-      if (visited_.Contains(seed)) continue;
-      visited_.Insert(seed);
-      queue_.push_back(seed);
-    }
-    std::size_t lo = 0;
-    std::size_t hi = queue_.size();
-    std::size_t depth = 0;  // depth d counts discoveries at distance d + 1
-    while (lo < hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        for (NodeId t : LiveTargets(s, queue_[i])) {
-          if (visited_.Contains(t)) continue;
-          visited_.Insert(t);
-          queue_.push_back(t);
-        }
-      }
-      const std::size_t discovered = queue_.size() - hi;
-      if (discovered != 0) {
-        if (icn_level_counts_.size() <= depth) {
-          icn_level_counts_.resize(depth + 1, 0);
-        }
-        icn_level_counts_[depth] += static_cast<int64_t>(discovered);
-      }
-      lo = hi;
-      hi = queue_.size();
-      ++depth;
-    }
-  }
-}
-
-void SketchOracle::AccumulateIcnLevelCountsLanes(
+void SketchOracle::AccumulateIcnLevelCounts(
     std::span<const NodeId> seeds) const {
   const NodeId n = graph_->num_nodes();
   if (lane_state_.size() != n) {
@@ -577,7 +364,7 @@ void SketchOracle::AccumulateIcnLevelCountsLanes(
 
 OpinionSpreadEstimate SketchOracle::EstimateOpinion(
     const OpinionParams& opinions, OiBase base, std::span<const NodeId> seeds,
-    double lambda, SketchEval eval) const {
+    double lambda) const {
   OpinionSpreadEstimate estimate;
   if (seeds.empty()) return estimate;
   HOLIM_CHECK(base == OiBase::kIndependentCascade)
@@ -592,75 +379,46 @@ OpinionSpreadEstimate SketchOracle::EstimateOpinion(
   if (node_value_.size() != n) node_value_.assign(n, 0.0);
   double opinion_sum = 0.0, positive_sum = 0.0, negative_sum = 0.0;
   int64_t plain = 0;
-  // Opinion values are per-(snapshot, node) doubles, so the replay is
-  // inherently per-snapshot; the eval modes differ only in which arena
-  // serves the snapshot's adjacency. The lane arena stores each source's
-  // union entries EdgeId-ascending — the same order every scalar IC/WC
-  // snapshot stores its entries — so filtering by the snapshot's lane bit
-  // visits the identical (v, e) sequence and the replay is bitwise
-  // identical (this unifies the arenas; it is not a speedup).
-  auto replay = [&](auto&& for_each_live) {
-    for (uint32_t s = 0; s < num_snapshots_; ++s) {
-      visited_.Reset(n);
-      queue_.clear();
-      for (NodeId seed : seeds) {
-        if (visited_.Contains(seed)) continue;
-        visited_.Insert(seed);
-        node_value_[seed] = opinions.o(seed);  // o'_s = o_s, excluded below
-        queue_.push_back(seed);
-      }
-      // BFS in activation order: the activator's expected opinion is
-      // settled before any node it activates (first live arrival wins,
-      // matching the IC simulator's queue semantics).
-      std::size_t head = 0;
-      while (head < queue_.size()) {
-        const NodeId u = queue_[head++];
-        const double value_u = node_value_[u];
-        const EdgeId out_begin = graph_->OutEdgeBegin(u);
-        for_each_live(s, u, [&](NodeId v, uint32_t edge_off) {
-          if (visited_.Contains(v)) return;
-          visited_.Insert(v);
-          const EdgeId e = out_begin + edge_off;
-          // E[(-1)^alpha o'_u] with alpha = 0 w.p. phi(e).
-          const double value =
-              (opinions.o(v) + (2.0 * opinions.phi(e) - 1.0) * value_u) / 2.0;
-          node_value_[v] = value;
-          opinion_sum += value;
-          if (value > 0) {
-            positive_sum += value;
-          } else {
-            negative_sum += -value;
-          }
-          ++plain;
-          queue_.push_back(v);
-        });
+  for (uint32_t s = 0; s < num_snapshots_; ++s) {
+    const uint32_t g = s / kLanesPerGroup;
+    const uint64_t bit = uint64_t{1} << (s % kLanesPerGroup);
+    visited_.Reset(n);
+    queue_.clear();
+    for (NodeId seed : seeds) {
+      if (visited_.Contains(seed)) continue;
+      visited_.Insert(seed);
+      node_value_[seed] = opinions.o(seed);  // o'_s = o_s, excluded below
+      queue_.push_back(seed);
+    }
+    // BFS in activation order: the activator's expected opinion is settled
+    // before any node it activates (first live arrival wins, matching the
+    // IC simulator's queue semantics). Snapshot s's live out-edges of u are
+    // u's union entries carrying lane bit `bit`, in EdgeId order.
+    std::size_t head = 0;
+    while (head < queue_.size()) {
+      const NodeId u = queue_[head++];
+      const double value_u = node_value_[u];
+      const EdgeId out_begin = graph_->OutEdgeBegin(u);
+      const LaneAdjacency adj = LaneTargets(g, u);
+      for (uint32_t j = 0; j < adj.size; ++j) {
+        const NodeId v = adj.targets[j];
+        if ((adj.masks[j] & bit) == 0 || visited_.Contains(v)) continue;
+        visited_.Insert(v);
+        const EdgeId e = out_begin + adj.edge_offsets[j];
+        // E[(-1)^alpha o'_u] with alpha = 0 w.p. phi(e).
+        const double value =
+            (opinions.o(v) + (2.0 * opinions.phi(e) - 1.0) * value_u) / 2.0;
+        node_value_[v] = value;
+        opinion_sum += value;
+        if (value > 0) {
+          positive_sum += value;
+        } else {
+          negative_sum += -value;
+        }
+        ++plain;
+        queue_.push_back(v);
       }
     }
-  };
-  if (eval == SketchEval::kScalar) {
-    replay([&](uint32_t s, NodeId u, auto&& emit) {
-      const uint32_t* offsets =
-          node_offsets_.data() + static_cast<std::size_t>(s) * (n + 1);
-      const NodeId* targets = entries_.data() + entry_base_[s];
-      const uint32_t* edge_offs = edge_offsets_.data() + entry_base_[s];
-      for (uint32_t j = offsets[u]; j < offsets[u + 1]; ++j) {
-        emit(targets[j], edge_offs[j]);
-      }
-    });
-  } else {
-    replay([&](uint32_t s, NodeId u, auto&& emit) {
-      const uint32_t g = s / kLanesPerGroup;
-      const uint64_t bit = uint64_t{1} << (s % kLanesPerGroup);
-      const std::size_t group_base = lane_entry_base_[g];
-      const uint32_t* offsets =
-          lane_node_offsets_.data() + static_cast<std::size_t>(g) * (n + 1);
-      const NodeId* targets = lane_targets_.data() + group_base;
-      const uint64_t* masks = lane_masks_.data() + group_base;
-      const uint32_t* edge_offs = lane_edge_offsets_.data() + group_base;
-      for (uint32_t j = offsets[u]; j < offsets[u + 1]; ++j) {
-        if (masks[j] & bit) emit(targets[j], edge_offs[j]);
-      }
-    });
   }
   estimate.opinion_spread = opinion_sum / num_snapshots_;
   estimate.effective_opinion_spread =
@@ -670,15 +428,11 @@ OpinionSpreadEstimate SketchOracle::EstimateOpinion(
 }
 
 std::size_t SketchOracle::ArenaBytes() const {
-  return entries_.capacity() * sizeof(NodeId) +
-         edge_offsets_.capacity() * sizeof(uint32_t) +
+  return rows_.targets.capacity() * sizeof(NodeId) +
+         rows_.masks.capacity() * sizeof(uint64_t) +
+         rows_.edge_offsets.capacity() * sizeof(uint32_t) +
          node_offsets_.capacity() * sizeof(uint32_t) +
-         entry_base_.capacity() * sizeof(std::size_t) +
-         lane_targets_.capacity() * sizeof(NodeId) +
-         lane_masks_.capacity() * sizeof(uint64_t) +
-         lane_edge_offsets_.capacity() * sizeof(uint32_t) +
-         lane_node_offsets_.capacity() * sizeof(uint32_t) +
-         lane_entry_base_.capacity() * sizeof(std::size_t);
+         entry_base_.capacity() * sizeof(std::size_t);
 }
 
 Status SketchOracle::ApplyDelta(const Graph& new_graph,
@@ -698,7 +452,12 @@ Status SketchOracle::ApplyDelta(const Graph& new_graph,
         "graph shrank across the delta; deltas never drop nodes");
   }
   if (params_.model == DiffusionModel::kLinearThreshold) {
-    return ApplyDeltaLinearThreshold(new_graph, new_params);
+    // An LT lane row unions the picks of every target its edges reach, so
+    // a dirty in-row can move entries of many source rows: resample.
+    graph_ = &new_graph;
+    params_ = new_params;
+    Sample(/*pool=*/nullptr, /*deadline=*/nullptr);
+    return Status::OK();
   }
   return ApplyDeltaCascade(new_graph, new_params);
 }
@@ -715,8 +474,7 @@ Status SketchOracle::ApplyDeltaCascade(const Graph& new_graph,
   // shifts 1/indeg(v) on every in-edge of a touched target, and each such
   // edge's source row goes dirty via the p mismatch.
   std::vector<uint8_t> dirty(n_new, 0);
-  std::vector<NodeId> dirty_rows;
-  std::vector<uint32_t> dirty_index(n_new, 0);
+  bool any_dirty = false;
   for (NodeId u = 0; u < n_new; ++u) {
     bool is_dirty = u >= n_old;
     if (!is_dirty) {
@@ -736,343 +494,62 @@ Status SketchOracle::ApplyDeltaCascade(const Graph& new_graph,
         }
       }
     }
-    if (is_dirty) {
-      dirty[u] = 1;
-      dirty_index[u] = static_cast<uint32_t>(dirty_rows.size());
-      dirty_rows.push_back(u);
-    }
+    dirty[u] = is_dirty;
+    any_dirty |= is_dirty;
   }
-  if (dirty_rows.empty()) {  // identical CSR + params: rebind only
-    graph_ = &new_graph;
-    params_ = new_params;
-    return Status::OK();
-  }
+  graph_ = &new_graph;
+  params_ = new_params;
+  if (!any_dirty) return Status::OK();  // identical CSR + params: rebind
 
-  // Resample ONLY the dirty rows, per snapshot, into side buffers — the
-  // entire RNG cost of the patch.
-  const std::size_t num_dirty = dirty_rows.size();
-  std::vector<NodeId> side_entries;
-  std::vector<uint32_t> side_offsets;
-  std::vector<std::size_t> side_base(
-      static_cast<std::size_t>(num_snapshots_) * num_dirty + 1, 0);
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    for (std::size_t d = 0; d < num_dirty; ++d) {
-      const NodeId u = dirty_rows[d];
-      const auto row = new_graph.OutNeighbors(u);
-      if (!row.empty()) {
-        const EdgeId base = new_graph.OutEdgeBegin(u);
-        uint64_t state = NodeStreamState(s, u);
-        for (std::size_t i = 0; i < row.size(); ++i) {
-          if (UnitDouble(Rng::SplitMix64(state)) < new_params.p(base + i)) {
-            side_entries.push_back(row[i]);
-            side_offsets.push_back(static_cast<uint32_t>(i));
-          }
-        }
-      }
-      side_base[static_cast<std::size_t>(s) * num_dirty + d + 1] =
-          side_entries.size();
-    }
-  }
-
-  // Splice the scalar arena: clean rows byte-copied from the old arena,
-  // dirty rows from the side buffers; snapshot-local offsets and bases
-  // rebuilt outright (n may have grown). Content and — after the trailing
-  // shrink_to_fit — capacities match a cold build exactly.
-  std::vector<NodeId> new_entries;
-  std::vector<uint32_t> new_edge_offsets;
-  std::vector<uint32_t> new_node_offsets;
-  std::vector<std::size_t> new_entry_base;
-  new_node_offsets.reserve(static_cast<std::size_t>(num_snapshots_) *
-                           (n_new + 1));
-  new_entry_base.reserve(num_snapshots_ + 1);
-  new_entry_base.push_back(0);
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    const uint32_t* old_offsets =
-        node_offsets_.data() + static_cast<std::size_t>(s) * (n_old + 1);
-    const NodeId* old_entries = entries_.data() + entry_base_[s];
-    const uint32_t* old_eoffs =
-        record_edge_offsets_ ? edge_offsets_.data() + entry_base_[s] : nullptr;
-    const std::size_t snapshot_base = new_entry_base.back();
-    for (NodeId u = 0; u < n_new; ++u) {
-      new_node_offsets.push_back(
-          static_cast<uint32_t>(new_entries.size() - snapshot_base));
-      if (dirty[u]) {
-        const std::size_t base_index =
-            static_cast<std::size_t>(s) * num_dirty + dirty_index[u];
-        const std::size_t lo = side_base[base_index];
-        const std::size_t hi = side_base[base_index + 1];
-        new_entries.insert(new_entries.end(), side_entries.begin() + lo,
-                           side_entries.begin() + hi);
-        if (record_edge_offsets_) {
-          new_edge_offsets.insert(new_edge_offsets.end(),
-                                  side_offsets.begin() + lo,
-                                  side_offsets.begin() + hi);
-        }
-      } else {
-        new_entries.insert(new_entries.end(), old_entries + old_offsets[u],
-                           old_entries + old_offsets[u + 1]);
-        if (record_edge_offsets_) {
-          new_edge_offsets.insert(new_edge_offsets.end(),
-                                  old_eoffs + old_offsets[u],
-                                  old_eoffs + old_offsets[u + 1]);
-        }
-      }
-    }
-    new_node_offsets.push_back(
-        static_cast<uint32_t>(new_entries.size() - snapshot_base));
-    new_entry_base.push_back(new_entries.size());
-  }
-
-  // Splice the lane arena the same way: clean source rows keep identical
-  // per-snapshot entries, so their union rows (and masks) copy verbatim;
-  // dirty rows re-transpose from the side buffers, emitted EdgeId-ascending
-  // exactly like BuildLaneArena.
-  std::vector<NodeId> new_lane_targets;
-  std::vector<uint64_t> new_lane_masks;
-  std::vector<uint32_t> new_lane_edge_offsets;
-  std::vector<uint32_t> new_lane_node_offsets(
+  // Clean rows keep identical draws in every lane, so their union rows
+  // (masks included) copy verbatim; dirty rows resample straight into the
+  // arena on the new graph. Offsets are rebuilt outright (n may have
+  // grown); after ShrinkArena the capacities match a cold build exactly.
+  LaneRows old_rows = std::move(rows_);
+  const std::vector<uint32_t> old_offsets = std::move(node_offsets_);
+  const std::vector<std::size_t> old_base = std::move(entry_base_);
+  rows_ = LaneRows{};
+  node_offsets_.assign(
       static_cast<std::size_t>(num_lane_groups_) * (n_new + 1), 0);
-  std::vector<std::size_t> new_lane_entry_base(num_lane_groups_ + 1, 0);
+  entry_base_.assign(num_lane_groups_ + 1, 0);
   std::vector<uint64_t> row_mask;
   for (uint32_t g = 0; g < num_lane_groups_; ++g) {
-    const uint32_t s_lo = g * kLanesPerGroup;
-    const uint32_t s_hi =
-        std::min<uint32_t>(num_snapshots_, s_lo + kLanesPerGroup);
-    uint32_t* offsets = new_lane_node_offsets.data() +
-                        static_cast<std::size_t>(g) * (n_new + 1);
-    const std::size_t group_base = new_lane_targets.size();
-    const uint32_t* old_loffs =
-        lane_node_offsets_.data() + static_cast<std::size_t>(g) * (n_old + 1);
-    const std::size_t old_gbase = lane_entry_base_[g];
+    uint32_t* offsets =
+        node_offsets_.data() + static_cast<std::size_t>(g) * (n_new + 1);
+    const uint32_t* old_offs =
+        old_offsets.data() + static_cast<std::size_t>(g) * (n_old + 1);
+    const std::size_t group_base = rows_.targets.size();
     for (NodeId u = 0; u < n_new; ++u) {
-      offsets[u] = static_cast<uint32_t>(new_lane_targets.size() - group_base);
-      if (!dirty[u]) {
-        const std::size_t lo = old_gbase + old_loffs[u];
-        const std::size_t hi = old_gbase + old_loffs[u + 1];
-        new_lane_targets.insert(new_lane_targets.end(),
-                                lane_targets_.begin() + lo,
-                                lane_targets_.begin() + hi);
-        new_lane_masks.insert(new_lane_masks.end(), lane_masks_.begin() + lo,
-                              lane_masks_.begin() + hi);
-        if (record_edge_offsets_) {
-          new_lane_edge_offsets.insert(new_lane_edge_offsets.end(),
-                                       lane_edge_offsets_.begin() + lo,
-                                       lane_edge_offsets_.begin() + hi);
-        }
+      offsets[u] = static_cast<uint32_t>(rows_.targets.size() - group_base);
+      if (dirty[u]) {
+        AppendRow(g, u, /*lt_edge_mask=*/nullptr, row_mask, rows_);
       } else {
-        const auto row = new_graph.OutNeighbors(u);
-        row_mask.assign(row.size(), 0);
-        for (uint32_t s = s_lo; s < s_hi; ++s) {
-          const std::size_t base_index =
-              static_cast<std::size_t>(s) * num_dirty + dirty_index[u];
-          const uint64_t bit = uint64_t{1} << (s - s_lo);
-          for (std::size_t k = side_base[base_index];
-               k < side_base[base_index + 1]; ++k) {
-            row_mask[side_offsets[k]] |= bit;
-          }
-        }
-        for (std::size_t i = 0; i < row.size(); ++i) {
-          if (row_mask[i] == 0) continue;
-          new_lane_targets.push_back(row[i]);
-          new_lane_masks.push_back(row_mask[i]);
-          if (record_edge_offsets_) {
-            new_lane_edge_offsets.push_back(static_cast<uint32_t>(i));
-          }
-        }
+        AppendEntries(old_rows, old_base[g] + old_offs[u],
+                      old_base[g] + old_offs[u + 1]);
       }
     }
-    offsets[n_new] =
-        static_cast<uint32_t>(new_lane_targets.size() - group_base);
-    HOLIM_CHECK(new_lane_targets.size() - group_base <=
+    HOLIM_CHECK(rows_.targets.size() - group_base <=
                 std::numeric_limits<uint32_t>::max())
         << "lane group overflows 32-bit CSR offsets";
-    new_lane_entry_base[g + 1] = new_lane_targets.size();
+    offsets[n_new] = static_cast<uint32_t>(rows_.targets.size() - group_base);
+    entry_base_[g + 1] = rows_.targets.size();
   }
-
-  new_entries.shrink_to_fit();
-  new_edge_offsets.shrink_to_fit();
-  new_node_offsets.shrink_to_fit();
-  new_entry_base.shrink_to_fit();
-  new_lane_targets.shrink_to_fit();
-  new_lane_masks.shrink_to_fit();
-  new_lane_edge_offsets.shrink_to_fit();
-  entries_ = std::move(new_entries);
-  edge_offsets_ = std::move(new_edge_offsets);
-  node_offsets_ = std::move(new_node_offsets);
-  entry_base_ = std::move(new_entry_base);
-  lane_targets_ = std::move(new_lane_targets);
-  lane_masks_ = std::move(new_lane_masks);
-  lane_edge_offsets_ = std::move(new_lane_edge_offsets);
-  lane_node_offsets_ = std::move(new_lane_node_offsets);
-  lane_entry_base_ = std::move(new_lane_entry_base);
-  graph_ = &new_graph;
-  params_ = new_params;
+  ShrinkArena();
   return Status::OK();
 }
 
-Status SketchOracle::ApplyDeltaLinearThreshold(
-    const Graph& new_graph, const InfluenceParams& new_params) {
-  const Graph& old_graph = *graph_;
-  const NodeId n_old = old_graph.num_nodes();
-  const NodeId n_new = new_graph.num_nodes();
-
-  // LT draws are per *target*: dirty = targets whose in-row (sources, p)
-  // contents changed positionally.
-  std::vector<uint8_t> dirty(n_new, 0);
-  bool any_dirty = false;
-  for (NodeId v = 0; v < n_new; ++v) {
-    bool is_dirty = v >= n_old;
-    if (!is_dirty) {
-      const auto old_src = old_graph.InNeighbors(v);
-      const auto new_src = new_graph.InNeighbors(v);
-      if (old_src.size() != new_src.size()) {
-        is_dirty = true;
-      } else {
-        const auto old_ids = old_graph.InEdgeIds(v);
-        const auto new_ids = new_graph.InEdgeIds(v);
-        for (std::size_t i = 0; i < old_src.size(); ++i) {
-          if (old_src[i] != new_src[i] ||
-              params_.p(old_ids[i]) != new_params.p(new_ids[i])) {
-            is_dirty = true;
-            break;
-          }
-        }
-      }
-    }
-    if (is_dirty) {
-      dirty[v] = 1;
-      any_dirty = true;
-    }
-  }
-  if (!any_dirty) {  // identical CSR + params: rebind only
-    graph_ = &new_graph;
-    params_ = new_params;
-    return Status::OK();
-  }
-
-  // Rebuild the scalar arena per snapshot: a clean target's live pick
-  // replays identically (same stream, same in-row weights), so it is
-  // *recovered* from the old arena instead of redrawn — only its edge
-  // offset is re-derived against the source's possibly-shifted new
-  // out-row. Dirty targets redraw from their streams on the new graph.
-  std::vector<NodeId> pick(n_new, kInvalidNode);
-  std::vector<NodeId> lt_source;
-  std::vector<NodeId> lt_target;
-  std::vector<uint32_t> lt_edge_offset;
-  std::vector<uint32_t> counts;
-  std::vector<NodeId> new_entries;
-  std::vector<uint32_t> new_edge_offsets;  // always built: keys the lane pass
-  std::vector<uint32_t> new_node_offsets;
-  std::vector<std::size_t> new_entry_base;
-  new_node_offsets.reserve(static_cast<std::size_t>(num_snapshots_) *
-                           (n_new + 1));
-  new_entry_base.reserve(num_snapshots_ + 1);
-  new_entry_base.push_back(0);
-  for (uint32_t s = 0; s < num_snapshots_; ++s) {
-    std::fill(pick.begin(), pick.end(), kInvalidNode);
-    const uint32_t* old_offsets =
-        node_offsets_.data() + static_cast<std::size_t>(s) * (n_old + 1);
-    const NodeId* old_entries = entries_.data() + entry_base_[s];
-    for (NodeId u = 0; u < n_old; ++u) {
-      for (uint32_t j = old_offsets[u]; j < old_offsets[u + 1]; ++j) {
-        pick[old_entries[j]] = u;  // entry v in u's row: v picked u
-      }
-    }
-    lt_source.clear();
-    lt_target.clear();
-    lt_edge_offset.clear();
-    for (NodeId v = 0; v < n_new; ++v) {
-      if (dirty[v]) {
-        const auto in_edges = new_graph.InEdgeIds(v);
-        if (in_edges.empty()) continue;
-        uint64_t state = NodeStreamState(s, v);
-        double r = UnitDouble(Rng::SplitMix64(state));
-        std::size_t pos = in_edges.size();
-        for (std::size_t i = 0; i < in_edges.size(); ++i) {
-          const double w = new_params.p(in_edges[i]);
-          if (r < w) {
-            pos = i;
-            break;
-          }
-          r -= w;
-        }
-        if (pos == in_edges.size()) continue;  // residual mass: no live edge
-        const NodeId u = new_graph.InNeighbors(v)[pos];
-        lt_source.push_back(u);
-        lt_target.push_back(v);
-        lt_edge_offset.push_back(static_cast<uint32_t>(
-            in_edges[pos] - new_graph.OutEdgeBegin(u)));
-      } else {
-        const NodeId u = pick[v];
-        if (u == kInvalidNode) continue;  // old draw kept no edge; replays so
-        // v's in-row is unchanged, so edge (u -> v) still exists; its
-        // offset in u's new out-row may have shifted (rows are strictly
-        // ascending, so binary search recovers it).
-        const auto row = new_graph.OutNeighbors(u);
-        const auto it = std::lower_bound(row.begin(), row.end(), v);
-        lt_source.push_back(u);
-        lt_target.push_back(v);
-        lt_edge_offset.push_back(static_cast<uint32_t>(it - row.begin()));
-      }
-    }
-    // Counting sort by source — SampleOne's LT scatter, verbatim.
-    counts.assign(n_new + 1, 0);
-    for (NodeId u : lt_source) ++counts[u + 1];
-    for (NodeId u = 0; u < n_new; ++u) counts[u + 1] += counts[u];
-    new_node_offsets.insert(new_node_offsets.end(), counts.begin(),
-                            counts.end());
-    const std::size_t snapshot_base = new_entries.size();
-    new_entries.resize(snapshot_base + lt_source.size());
-    new_edge_offsets.resize(new_entries.size());
-    for (std::size_t i = 0; i < lt_source.size(); ++i) {
-      const NodeId u = lt_source[i];
-      const std::size_t slot = snapshot_base + counts[u]++;
-      new_entries[slot] = lt_target[i];
-      new_edge_offsets[slot] = lt_edge_offset[i];
-    }
-    new_entry_base.push_back(new_entries.size());
-  }
-  new_entries.shrink_to_fit();
-  new_edge_offsets.shrink_to_fit();
-  new_node_offsets.shrink_to_fit();
-  new_entry_base.shrink_to_fit();
-  entries_ = std::move(new_entries);
-  edge_offsets_ = std::move(new_edge_offsets);
-  node_offsets_ = std::move(new_node_offsets);
-  entry_base_ = std::move(new_entry_base);
-  graph_ = &new_graph;
-  params_ = new_params;
-
-  // An LT lane row unions picks of many targets, so per-row splicing does
-  // not apply; re-transpose wholesale from the spliced scalar arena — the
-  // cold post-pass (BuildLaneArena assigns the offset arrays but appends
-  // to the entry arrays, hence the clears).
-  lane_targets_.clear();
-  lane_masks_.clear();
-  lane_edge_offsets_.clear();
-  BuildLaneArena();
-  if (!record_edge_offsets_) {
-    edge_offsets_.clear();
-    edge_offsets_.shrink_to_fit();
-  }
-  return Status::OK();
-}
-
-SketchOracle::Session::Session(const SketchOracle& oracle, SketchEval eval,
+SketchOracle::Session::Session(const SketchOracle& oracle,
                                std::span<const double> node_weights)
     : oracle_(oracle),
-      eval_(eval),
       weights_(node_weights),
       n_(oracle.graph().num_nodes()),
       num_groups_(oracle.num_lane_groups()),
       lanes_(static_cast<std::size_t>(oracle.num_lane_groups()) *
                  oracle.graph().num_nodes(),
-             0) {
+             0),
+      pending_(oracle.graph().num_nodes(), 0) {
   HOLIM_CHECK(weights_.empty() || weights_.size() == n_)
       << "weight/node count mismatch";
-  if (eval_ == SketchEval::kBitParallel) {
-    pending_.assign(n_, 0);
-  }
 }
 
 void SketchOracle::Session::Reset() {
@@ -1083,53 +560,20 @@ void SketchOracle::Session::Reset() {
   num_seeds_ = 0;
 }
 
-template <bool kCommit>
-int64_t SketchOracle::Session::ExploreScalar(NodeId u) {
-  const uint32_t snapshots = oracle_.num_snapshots();
-  int64_t newly_total = 0;
-  for (uint32_t s = 0; s < snapshots; ++s) {
-    uint64_t* lanes =
-        lanes_.data() + static_cast<std::size_t>(s / kLanesPerGroup) * n_;
-    const uint64_t bit = uint64_t{1} << (s % kLanesPerGroup);
-    if (lanes[u] & bit) continue;
-    // The activated set is reachability-closed, so the walk prunes at
-    // every activated node: only reach(u) \ activated is ever visited.
-    if constexpr (kCommit) {
-      lanes[u] |= bit;
-    } else {
-      trial_.Reset(n_);
-      trial_.Insert(u);
+template <bool kCommit, bool kWeighted>
+SketchOracle::Session::Newly SketchOracle::Session::Explore(NodeId u) {
+  Newly total;
+  auto credit = [&](uint64_t fresh, NodeId node) {
+    total.nodes += std::popcount(fresh);
+    if constexpr (kWeighted) {
+      total.weight += std::popcount(fresh) * weights_[node];
     }
-    stack_.assign(1, u);
-    int64_t newly = 1;
-    while (!stack_.empty()) {
-      const NodeId v = stack_.back();
-      stack_.pop_back();
-      for (NodeId t : oracle_.LiveTargets(s, v)) {
-        if (lanes[t] & bit) continue;
-        if constexpr (kCommit) {
-          lanes[t] |= bit;
-        } else {
-          if (trial_.Contains(t)) continue;
-          trial_.Insert(t);
-        }
-        ++newly;
-        stack_.push_back(t);
-      }
-    }
-    newly_total += newly;
-  }
-  return newly_total;
-}
-
-template <bool kCommit>
-int64_t SketchOracle::Session::ExploreLanes(NodeId u) {
-  int64_t newly_total = 0;
+  };
   for (uint32_t g = 0; g < num_groups_; ++g) {
     uint64_t* activated = lanes_.data() + static_cast<std::size_t>(g) * n_;
     const uint64_t start = oracle_.LaneMaskAll(g) & ~activated[u];
     if (start == 0) continue;  // u already active in every lane
-    newly_total += std::popcount(start);
+    credit(start, u);
     // Probes speculatively write trial lanes into the activated words and
     // roll back from undo_ afterwards, so probe and commit walks are the
     // same kernel with one random state access per edge.
@@ -1137,7 +581,7 @@ int64_t SketchOracle::Session::ExploreLanes(NodeId u) {
     activated[u] |= start;
     pending_[u] = start;
     stack_.assign(1, u);
-    // FIFO walk (see EstimateLanes): aggregates lane waves per node so a
+    // FIFO walk (see SumReached): aggregates lane waves per node so a
     // union row is rescanned once per wave, not once per arriving lane.
     for (std::size_t head = 0; head < stack_.size(); ++head) {
       const NodeId v = stack_[head];
@@ -1156,7 +600,7 @@ int64_t SketchOracle::Session::ExploreLanes(NodeId u) {
         const NodeId t = adj.targets[j];
         const uint64_t fresh = adj.masks[j] & active & ~activated[t];
         if (fresh == 0) continue;
-        newly_total += std::popcount(fresh);
+        credit(fresh, t);
         if constexpr (!kCommit) undo_.push_back({t, activated[t]});
         activated[t] |= fresh;
         if (pending_[t] == 0) stack_.push_back(t);
@@ -1171,133 +615,34 @@ int64_t SketchOracle::Session::ExploreLanes(NodeId u) {
       undo_.clear();
     }
   }
-  return newly_total;
-}
-
-template <bool kCommit>
-SketchOracle::Session::WeightedNewly
-SketchOracle::Session::ExploreScalarWeighted(NodeId u) {
-  const uint32_t snapshots = oracle_.num_snapshots();
-  WeightedNewly total;
-  for (uint32_t s = 0; s < snapshots; ++s) {
-    uint64_t* lanes =
-        lanes_.data() + static_cast<std::size_t>(s / kLanesPerGroup) * n_;
-    const uint64_t bit = uint64_t{1} << (s % kLanesPerGroup);
-    if (lanes[u] & bit) continue;
-    if constexpr (kCommit) {
-      lanes[u] |= bit;
-    } else {
-      trial_.Reset(n_);
-      trial_.Insert(u);
-    }
-    stack_.assign(1, u);
-    total.nodes += 1;
-    total.weight += weights_[u];
-    while (!stack_.empty()) {
-      const NodeId v = stack_.back();
-      stack_.pop_back();
-      for (NodeId t : oracle_.LiveTargets(s, v)) {
-        if (lanes[t] & bit) continue;
-        if constexpr (kCommit) {
-          lanes[t] |= bit;
-        } else {
-          if (trial_.Contains(t)) continue;
-          trial_.Insert(t);
-        }
-        total.nodes += 1;
-        total.weight += weights_[t];
-        stack_.push_back(t);
-      }
-    }
-  }
-  return total;
-}
-
-template <bool kCommit>
-SketchOracle::Session::WeightedNewly
-SketchOracle::Session::ExploreLanesWeighted(NodeId u) {
-  WeightedNewly total;
-  for (uint32_t g = 0; g < num_groups_; ++g) {
-    uint64_t* activated = lanes_.data() + static_cast<std::size_t>(g) * n_;
-    const uint64_t start = oracle_.LaneMaskAll(g) & ~activated[u];
-    if (start == 0) continue;  // u already active in every lane
-    total.nodes += std::popcount(start);
-    total.weight += std::popcount(start) * weights_[u];
-    if constexpr (!kCommit) undo_.push_back({u, activated[u]});
-    activated[u] |= start;
-    pending_[u] = start;
-    stack_.assign(1, u);
-    for (std::size_t head = 0; head < stack_.size(); ++head) {
-      const NodeId v = stack_[head];
-      const uint64_t active = pending_[v];
-      if (active == 0) continue;
-      pending_[v] = 0;
-      if (head + 1 < stack_.size()) oracle_.PrefetchLaneRow(g, stack_[head + 1]);
-      if (head + 2 < stack_.size()) {
-        oracle_.PrefetchLaneOffsets(g, stack_[head + 2]);
-      }
-      const LaneAdjacency adj = oracle_.LaneTargets(g, v);
-      for (uint32_t j = 0; j < adj.size; ++j) {
-        if (j + kLanePrefetchDistance < adj.size) {
-          __builtin_prefetch(&activated[adj.targets[j + kLanePrefetchDistance]]);
-        }
-        const NodeId t = adj.targets[j];
-        const uint64_t fresh = adj.masks[j] & active & ~activated[t];
-        if (fresh == 0) continue;
-        total.nodes += std::popcount(fresh);
-        total.weight += std::popcount(fresh) * weights_[t];
-        if constexpr (!kCommit) undo_.push_back({t, activated[t]});
-        activated[t] |= fresh;
-        if (pending_[t] == 0) stack_.push_back(t);
-        pending_[t] |= fresh;
-      }
-    }
-    if constexpr (!kCommit) {
-      for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-        activated[it->node] = it->word;
-      }
-      undo_.clear();
-    }
-  }
   return total;
 }
 
 double SketchOracle::Session::MarginalGain(NodeId u) {
   const uint32_t snapshots = oracle_.num_snapshots();
   if (!weights_.empty()) {
-    const WeightedNewly newly =
-        eval_ == SketchEval::kScalar
-            ? ExploreScalarWeighted</*kCommit=*/false>(u)
-            : ExploreLanesWeighted</*kCommit=*/false>(u);
+    const Newly newly = Explore</*kCommit=*/false, /*kWeighted=*/true>(u);
     return (newly.weight - static_cast<double>(snapshots) * weights_[u]) /
            snapshots;
   }
-  const int64_t newly = eval_ == SketchEval::kScalar
-                            ? ExploreScalar</*kCommit=*/false>(u)
-                            : ExploreLanes</*kCommit=*/false>(u);
-  return static_cast<double>(newly - snapshots) / snapshots;
+  const Newly newly = Explore</*kCommit=*/false, /*kWeighted=*/false>(u);
+  return static_cast<double>(newly.nodes - snapshots) / snapshots;
 }
 
 double SketchOracle::Session::Commit(NodeId u) {
   const uint32_t snapshots = oracle_.num_snapshots();
+  ++num_seeds_;
   if (!weights_.empty()) {
-    const WeightedNewly newly =
-        eval_ == SketchEval::kScalar
-            ? ExploreScalarWeighted</*kCommit=*/true>(u)
-            : ExploreLanesWeighted</*kCommit=*/true>(u);
+    const Newly newly = Explore</*kCommit=*/true, /*kWeighted=*/true>(u);
     total_active_ += newly.nodes;
     total_active_weight_ += newly.weight;
     seed_weight_sum_ += weights_[u];
-    ++num_seeds_;
     return (newly.weight - static_cast<double>(snapshots) * weights_[u]) /
            snapshots;
   }
-  const int64_t newly = eval_ == SketchEval::kScalar
-                            ? ExploreScalar</*kCommit=*/true>(u)
-                            : ExploreLanes</*kCommit=*/true>(u);
-  total_active_ += newly;
-  ++num_seeds_;
-  return static_cast<double>(newly - snapshots) / snapshots;
+  const Newly newly = Explore</*kCommit=*/true, /*kWeighted=*/false>(u);
+  total_active_ += newly.nodes;
+  return static_cast<double>(newly.nodes - snapshots) / snapshots;
 }
 
 double SketchOracle::Session::Spread() const {
@@ -1315,7 +660,7 @@ double SketchOracle::Session::Spread() const {
 std::size_t SketchOracle::Session::ScratchBytes() const {
   return lanes_.capacity() * sizeof(uint64_t) +
          pending_.capacity() * sizeof(uint64_t) +
-         undo_.capacity() * sizeof(LaneUndo) + trial_.size_bytes() +
+         undo_.capacity() * sizeof(LaneUndo) +
          stack_.capacity() * sizeof(NodeId);
 }
 

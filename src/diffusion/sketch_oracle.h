@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "diffusion/cascade.h"
@@ -17,39 +18,28 @@
 
 namespace holim {
 
-/// Which traversal answers sketch-oracle queries. Both modes walk the SAME
-/// sampled worlds (the eval mode is not part of the sampling contract or
-/// any cache key) and return bitwise-identical results; they differ only in
-/// how the frozen snapshots are iterated:
-///
-///  * kBitParallel — the default: snapshot membership is packed into
-///    64-bit lane masks, so one frontier expansion evaluates up to 64
-///    live-edge worlds per machine word (R=200 becomes 4 word-group
-///    passes).
-///  * kScalar — one BFS per snapshot; kept as the differential-testing
-///    reference the bit-parallel kernel is pinned against.
-enum class SketchEval { kBitParallel, kScalar };
-
 /// Tuning parameters for SketchOracle sampling.
 struct SketchOptions {
-  /// Number of presampled live-edge worlds R. Like the MC estimator's
-  /// `num_simulations`, a few hundred suffice for greedy because the same
-  /// worlds are reused across every candidate and round (StaticGreedy's
-  /// observation: estimate-vs-estimate noise vanishes on a frozen sample).
+  /// Number of presampled live-edge worlds R (must be positive). Like the
+  /// MC estimator's `num_simulations`, a few hundred suffice for greedy
+  /// because the same worlds are reused across every candidate and round
+  /// (StaticGreedy's observation: estimate-vs-estimate noise vanishes on a
+  /// frozen sample).
   uint32_t num_snapshots = 200;
   uint64_t seed = 42;
   /// Pool for snapshot sampling (nullptr = serial). The arena is bitwise
-  /// identical for any pool size — see the RNG-sharding contract below.
+  /// identical for any pool size — see the RNG contract below.
   ThreadPool* pool = nullptr;
-  /// Additionally record, per live edge, its offset within the source's
-  /// out-edge list (4 bytes/entry in both arenas). Required only by the
-  /// replay estimators that read per-edge attributes (EstimateOpinion's
+  /// Additionally record, per union entry, the live edge's offset within
+  /// the source's out-edge list (4 bytes/entry). Required only by the
+  /// replay estimator that reads per-edge attributes (EstimateOpinion's
   /// phi lookups).
   bool record_edge_offsets = false;
   /// Cooperative deadline observed during sampling (borrowed; may be
-  /// null). Checked per sampling block at wave boundaries; on expiry the
-  /// build aborts early and the oracle reports the failure through
-  /// build_status() — callers must check it before using the arenas.
+  /// null). Charged ceil(lanes / kSnapshotsPerTick) ticks before each lane
+  /// group is sampled — ceil(R / 4) for a whole build. On expiry the build
+  /// aborts early and the oracle reports the failure through
+  /// build_status() — callers must check it before using the arena.
   /// Never stored in Workspace cache entries (a cached artifact must not
   /// hold a pointer into a finished solve's stack).
   Deadline* deadline = nullptr;
@@ -61,134 +51,126 @@ struct SketchOptions {
 /// The Monte-Carlo estimator (diffusion/spread_estimator.*) re-simulates a
 /// fresh cascade per simulation per candidate seed set, so CELF-style
 /// greedy pays O(k * n * mc * BFS) with zero reuse across candidates or
-/// rounds. This oracle instead materializes R live-edge instantiations of
-/// the graph ONCE (Kempe's equivalence: IC/WC keep each edge independently
+/// rounds. This oracle instead samples R live-edge instantiations of the
+/// graph ONCE (Kempe's equivalence: IC/WC keep each edge independently
 /// w.p. p(e); LT gives each node at most one live in-edge) and answers
 /// every sigma(S) query by reachability over the frozen worlds — the
 /// StaticGreedy/sketch estimator family, the forward-direction sibling of
 /// the RR engine's world reuse (algo/rr_sets.*).
 ///
-/// ## Scalar arena layout
-///
-/// All R snapshots live in one CSR-packed forward-adjacency arena:
-///
-///   entries_      : NodeId[total live edges]   — live out-targets, grouped
-///                                                by (snapshot, source)
-///   node_offsets_ : uint32[R * (n + 1)]        — per-snapshot CSR offsets,
-///                                                local to the snapshot
-///   entry_base_   : size_t[R + 1]              — snapshot s's entries are
-///                                                entries_[entry_base_[s] ..
-///                                                entry_base_[s + 1])
-///   edge_offsets_ : uint32[total live edges]   — optional (see
-///                                                SketchOptions): live edge
-///                                                j of source u is global
-///                                                edge OutEdgeBegin(u) +
-///                                                edge_offsets_[j]
-///
-/// Evaluation walks one snapshot at a time front to back — no hash sets,
-/// no pointer chasing, no per-query allocation (epoch-stamped visited set).
-///
-/// ## Word-transposed lane-mask arena (the bit-parallel twin)
+/// ## Lane-mask arena (the only storage)
 ///
 /// Snapshots are grouped into ceil(R / 64) lane groups of up to 64; inside
-/// group g, snapshot s occupies lane bit (s - 64 g). Per group the sampled
-/// worlds are re-packed as the UNION forward adjacency over the group's
-/// snapshots, each union edge carrying a uint64_t lane mask ("edge (u, v)
-/// is live in lane b"):
+/// group g, snapshot s occupies lane bit (s - 64 g). Per group the worlds
+/// are stored as the UNION forward adjacency over the group's snapshots,
+/// each union edge carrying a uint64_t lane mask ("edge (u, v) is live in
+/// lane b"):
 ///
-///   lane_targets_      : NodeId[union entries]  — distinct live out-edges,
-///                                                 grouped by (group, source),
-///                                                 EdgeId-ascending per source
-///   lane_masks_        : uint64[union entries]  — lanes where that edge is
-///                                                 live (parallel array)
-///   lane_node_offsets_ : uint32[G * (n + 1)]    — per-group CSR offsets
-///   lane_entry_base_   : size_t[G + 1]          — group extents
-///   lane_edge_offsets_ : uint32[union entries]  — optional, mirrors
-///                                                 edge_offsets_
+///   rows_.targets      : NodeId[union entries] — distinct live out-edges,
+///                                                grouped by (group,
+///                                                source), EdgeId-ascending
+///                                                per source
+///   rows_.masks        : uint64[union entries] — lanes where that edge is
+///                                                live
+///   rows_.edge_offsets : uint32[union entries] — optional (SketchOptions):
+///                                                entry j of source u is
+///                                                edge OutEdgeBegin(u) +
+///                                                edge_offsets[j]
+///   node_offsets_      : uint32[G * (n + 1)]   — per-group CSR offsets
+///   entry_base_        : size_t[G + 1]         — group extents
 ///
-/// Frontier expansion then evaluates 64 worlds per machine word:
+/// Frontier expansion evaluates 64 worlds per machine word:
 ///   fresh = live_mask[u -> v] & active[u] & ~activated[v]
 /// and reached counts are popcount-accumulated, so one pass over the union
 /// adjacency replaces up to 64 per-snapshot BFS walks. Groups are kept as
 /// SEPARATE union CSRs on purpose: a frontier wave usually carries lanes
 /// of one group, and a per-group row costs 12 bytes/edge to scan, where a
 /// merged all-R row would pay G lane words per edge no matter how few
-/// groups the wave touches (measured ~2x slower end to end). The transpose
-/// is a deterministic post-pass over the sampled worlds — the RNG-sharding
-/// contract below is untouched, and both arenas describe the same sample.
-/// Memory: per group, |union live edges| <= min(m, sum of the group's live
-/// edges) entries of 12 bytes (target + mask; +4 with edge offsets), plus
-/// 4 (n + 1) offset bytes — for dense WC-style samples this is ~m entries
-/// per group versus ~64 snapshot-local lists, i.e. the lane arena is a
-/// fraction of the scalar arena's size.
+/// groups the wave touches (measured ~2x slower end to end). Memory: per
+/// group, |union live edges| <= min(m, sum of the group's live edges)
+/// entries of 12 bytes (+4 with edge offsets), plus 4 (n + 1) offset
+/// bytes. One world is its group's union rows filtered by its lane bit;
+/// the per-snapshot scalar CSR of the same worlds exists only in the
+/// test/bench reference (bench_support/sketch_reference.h).
 ///
 /// ## RNG contract (counter-based per-(snapshot, node) streams)
 ///
 /// Snapshot s's world is a pure function of (seed, s): every row of the
-/// world is drawn from an independent SplitMix64 stream keyed per
-/// (snapshot, node) — IC/WC flip source u's out-edges in order from the
-/// stream with initial state
-///   seed + kSnapshotSeedSalt * (s + 1) + kSnapshotNodeSalt * (u + 1),
-/// and LT draws target v's live in-edge (one uniform, residual scan over
-/// the in-row weights) from the v-keyed stream; empty rows draw nothing.
-/// Because a row's draws depend only on (seed, s, node) and the row's own
-/// (targets, p) contents, ApplyDelta can resample exactly the rows a graph
-/// delta touched and byte-splice every clean row — bitwise equal to a cold
-/// rebuild on the mutated graph. Sampling is sharded in blocks of
-/// kSnapshotBlockSize (waves of one block per shard, merged in block
-/// order), but the block decomposition is purely a scheduling choice:
-/// neither the block size nor the pool affects the sampled worlds, and the
-/// arena is bitwise identical for any thread count, including serial.
+/// world is drawn from an independent SplitMix64 stream with initial state
+/// RowStreamState(seed, s, node). IC/WC flip source u's out-edges in
+/// EdgeId order from the (s, u) stream; LT draws target v's live in-edge
+/// (one uniform, residual scan over the in-row weights) from the (s, v)
+/// stream; empty rows draw nothing. The arena is sampled directly: per
+/// lane group, IC/WC ORs each lane's flips into a per-row mask, and LT
+/// scatters each lane's pick into an m-word edge-mask scratch that is then
+/// emitted source-major. Because a row's draws depend only on (seed, s,
+/// node) and the row's own (targets, p) contents, ApplyDelta can resample
+/// exactly the IC/WC rows a graph delta touched and byte-copy every clean
+/// row — bitwise equal to a cold rebuild on the mutated graph. Sampling is
+/// sharded over contiguous node ranges merged in range order, so neither
+/// the pool nor the shard count affects the arena: it is bitwise identical
+/// for any thread count, including serial.
 ///
 /// ## Determinism of estimates
 ///
-/// Every estimator accumulates per-snapshot results in snapshot order into
-/// integer (Estimate/Session/IC-N level counts) or serial double (replay)
-/// accumulators and divides once at the end, so results are independent of
-/// thread count and reproducible across runs — and the kBitParallel and
-/// kScalar traversals are bitwise-identical to each other (integer counts
-/// commute across lanes; the replay estimator reads the lane arena in the
-/// scalar walk order). Estimate() and the replay estimators reuse member
-/// scratch and are therefore NOT thread-safe per oracle instance;
-/// concurrent callers should own separate Session objects (sessions carry
-/// their own scratch) or separate oracles.
+/// Every estimator accumulates integer (Estimate/Session/IC-N level
+/// counts) or serial double (weighted, replay) results in a fixed order
+/// and divides once at the end, so results are independent of thread
+/// count and reproducible across runs — and bitwise equal to the scalar
+/// per-snapshot reference over the same worlds (integer counts commute
+/// across lanes; the replay visits lane-filtered rows in the reference's
+/// walk order). Estimate() and the replay estimators reuse member scratch
+/// and are therefore NOT thread-safe per oracle instance; concurrent
+/// callers should own separate Session objects (sessions carry their own
+/// scratch) or separate oracles.
 class SketchOracle {
  public:
-  /// Snapshots sampled per scheduling block (wave sharding granularity
-  /// only — NOT part of the sampling contract; the per-(snapshot, node)
-  /// streams make the worlds independent of how sampling is partitioned).
-  static constexpr std::size_t kSnapshotBlockSize = 4;
+  /// Snapshots per deadline tick: a build charges ceil(R / 4) ticks. Not
+  /// part of the sampling contract.
+  static constexpr uint32_t kSnapshotsPerTick = 4;
   /// Snapshot-axis salt of the per-(snapshot, node) stream keys
   /// (deliberately distinct from the RR engine's and the MC estimator's
   /// salts; the streams must stay unrelated).
   static constexpr uint64_t kSnapshotSeedSalt = 0xA24BAED4963EE407ULL;
   /// Node-axis salt of the per-(snapshot, node) stream keys.
   static constexpr uint64_t kSnapshotNodeSalt = 0xE7037ED1A0B428DBULL;
-  /// Snapshots per lane group of the word-transposed arena (one machine
-  /// word). Purely an evaluation-layout constant — NOT part of the
-  /// sampling contract.
+  /// Snapshots per lane group (one machine word). Purely an evaluation-
+  /// layout constant — NOT part of the sampling contract.
   static constexpr uint32_t kLanesPerGroup = 64;
 
-  /// Samples all R snapshots up front (the only expensive step), then
-  /// builds the word-transposed lane-mask arena from the sampled worlds.
-  /// With a deadline in `options` the build may abort early: check
-  /// build_status() before first use (the engine's checked acquisition
-  /// path does; an aborted oracle is never cached).
+  /// Initial SplitMix64 state of the (snapshot, node) row stream.
+  static uint64_t RowStreamState(uint64_t seed, uint32_t snapshot,
+                                 NodeId node) {
+    return seed + kSnapshotSeedSalt * (snapshot + uint64_t{1}) +
+           kSnapshotNodeSalt * (static_cast<uint64_t>(node) + 1);
+  }
+  /// SplitMix64 output -> uniform double in [0, 1) (Rng::NextDouble's
+  /// mantissa construction, applied to the row streams).
+  static double UnitDouble(uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  }
+
+  /// Samples all R snapshots straight into the lane-mask arena. With a
+  /// deadline in `options` the build may abort early: check build_status()
+  /// before first use (the engine's checked acquisition path does; an
+  /// aborted oracle is never cached).
   SketchOracle(const Graph& graph, const InfluenceParams& params,
                const SketchOptions& options = {});
 
   /// OK for a fully built oracle; the deadline/cancel status when the
-  /// sampling pass aborted early (the arenas are then incomplete and no
+  /// sampling pass aborted early (the arena is then incomplete and no
   /// estimator may be called).
   const Status& build_status() const { return build_status_; }
 
-  /// Incrementally re-points the oracle at a mutated graph: resamples only
-  /// the rows whose (targets, p) contents changed between the bound graph
-  /// and `new_graph` (IC/WC: out-rows; LT: in-rows) and byte-splices every
-  /// clean row from the existing arenas. Both arenas end bitwise identical
-  /// — contents AND ArenaBytes() — to a cold SketchOracle built on
-  /// (new_graph, new_params) with the same options; every estimator and
-  /// Session result is therefore bitwise equal to the cold rebuild's.
+  /// Incrementally re-points the oracle at a mutated graph. IC/WC: only
+  /// the source rows whose (targets, p) contents changed between the bound
+  /// graph and `new_graph` are resampled into their lane rows; every clean
+  /// row is byte-copied. LT: a lane row unions the picks of many targets,
+  /// so the arena is resampled on the new graph. Either way the arena ends
+  /// bitwise identical — contents AND ArenaBytes() — to a cold SketchOracle
+  /// built on (new_graph, new_params) with the same options; every
+  /// estimator and Session result is therefore bitwise equal to the cold
+  /// rebuild's.
   ///
   /// `new_graph` must outlive the oracle (the oracle re-binds to it; the
   /// previously bound graph is only needed during this call). The model
@@ -201,11 +183,14 @@ class SketchOracle {
   const InfluenceParams& params() const { return params_; }
   /// Number of 64-snapshot lane groups, ceil(R / 64).
   uint32_t num_lane_groups() const { return num_lane_groups_; }
-  /// Mask of the lanes group `g` actually populates (all-ones except a
-  /// trailing partial group).
+  /// Lanes group `g` populates (64 except a trailing partial group).
+  uint32_t LaneCount(uint32_t g) const {
+    return std::min<uint32_t>(kLanesPerGroup,
+                              num_snapshots_ - g * kLanesPerGroup);
+  }
+  /// Mask of the lanes group `g` actually populates.
   uint64_t LaneMaskAll(uint32_t g) const {
-    const uint32_t lanes = std::min<uint32_t>(
-        kLanesPerGroup, num_snapshots_ - g * kLanesPerGroup);
+    const uint32_t lanes = LaneCount(g);
     return lanes == kLanesPerGroup ? ~uint64_t{0}
                                    : (uint64_t{1} << lanes) - 1;
   }
@@ -214,40 +199,33 @@ class SketchOracle {
   /// reachability from `seeds` over the frozen worlds, averaged over
   /// snapshots. Exact over the frozen sample: the total reached count is
   /// accumulated as an integer and divided once, so Session::Spread()
-  /// after committing the same seeds is bitwise equal — in either eval
-  /// mode.
-  double Estimate(std::span<const NodeId> seeds,
-                  SketchEval eval = SketchEval::kBitParallel) const;
+  /// after committing the same seeds is bitwise equal.
+  double Estimate(std::span<const NodeId> seeds) const;
 
   /// Weighted twin of Estimate for targeted IM: sigma_w(S) =
   /// E[sum of w(v) over activated non-seeds v] — each reached node counts
-  /// its weight instead of 1 (in lane space, a weighted popcount per lane
-  /// group: popcount(fresh) * w(target)). `node_weights` must hold one
-  /// finite weight >= 0 per node.
+  /// its weight instead of 1 (a weighted popcount per lane group:
+  /// popcount(fresh) * w(target)). `node_weights` must hold one finite
+  /// weight >= 0 per node.
   ///
   /// Bitwise contract: with all-ones weights the accumulated weight sums
   /// are exact small integers in doubles and the final division matches
-  /// Estimate's, so EstimateWeighted == Estimate bitwise in BOTH eval
-  /// modes. With arbitrary weights each eval mode is deterministic, but
-  /// the two modes accumulate per-node weights in different orders (one
-  /// per discovery vs popcount-batched per union edge), so they agree
-  /// exactly only when every partial sum is exactly representable (e.g.
-  /// integer weights, the 0/1 target masks).
+  /// Estimate's, so EstimateWeighted == Estimate bitwise. A traversal that
+  /// adds per-node weights in another order (the scalar reference adds one
+  /// weight per discovery) agrees exactly whenever every partial sum is
+  /// exactly representable (e.g. integer weights, the 0/1 target masks).
   double EstimateWeighted(std::span<const NodeId> seeds,
-                          std::span<const double> node_weights,
-                          SketchEval eval = SketchEval::kBitParallel) const;
+                          std::span<const double> node_weights) const;
 
   /// Expected IC-N positive spread over the frozen worlds (Chen et al.,
   /// SDM'11, uniform quality factor q): a node activated at live-edge BFS
   /// distance d is positive w.p. q^(d+1) (one quality flip per hop plus
-  /// the seed's own flip). Both eval modes accumulate integer
-  /// per-distance activation counts and fold them through one shared
-  /// q-polynomial evaluation, so they are bitwise identical. Exact in the
-  /// quality flips given the sampled worlds (a Rao-Blackwellized
+  /// the seed's own flip). Accumulates integer per-distance activation
+  /// counts and folds them through one q-polynomial evaluation. Exact in
+  /// the quality flips given the sampled worlds (a Rao-Blackwellized
   /// estimator of the MC path).
   double EstimateIcnPositive(std::span<const NodeId> seeds,
-                             double quality_factor,
-                             SketchEval eval = SketchEval::kBitParallel) const;
+                             double quality_factor) const;
 
   /// Expected OI opinion spread over the frozen worlds, IC base only
   /// (requires record_edge_offsets). Replays the activation BFS per
@@ -259,39 +237,31 @@ class SketchOracle {
   /// coincides with the MC estimand at lambda == 1 (where Gamma_o_lambda
   /// is linear in the opinions) and is a documented approximation
   /// otherwise. Opinion values are per-(snapshot, node) doubles, so the
-  /// replay is inherently per-snapshot; kBitParallel rides the lane-mask
-  /// arena (per-snapshot adjacency = union entries filtered by the lane
-  /// bit, in the same EdgeId order the scalar arena stores), which keeps
-  /// the replay bitwise identical while the forward arena stays free for
-  /// the scalar reference path.
-  OpinionSpreadEstimate EstimateOpinion(
-      const OpinionParams& opinions, OiBase base,
-      std::span<const NodeId> seeds, double lambda,
-      SketchEval eval = SketchEval::kBitParallel) const;
-
-  /// Live out-targets of `u` in snapshot `s` (zero-copy scalar-arena span).
-  std::span<const NodeId> LiveTargets(uint32_t s, NodeId u) const {
-    const uint32_t* off =
-        node_offsets_.data() +
-        static_cast<std::size_t>(s) * (graph_->num_nodes() + 1);
-    const NodeId* base = entries_.data() + entry_base_[s];
-    return {base + off[u], base + off[u + 1]};
-  }
+  /// replay is inherently per-snapshot: a snapshot's adjacency is its
+  /// group's union rows filtered by its lane bit, in EdgeId order.
+  OpinionSpreadEstimate EstimateOpinion(const OpinionParams& opinions,
+                                        OiBase base,
+                                        std::span<const NodeId> seeds,
+                                        double lambda) const;
 
   /// Union live out-adjacency of `u` in lane group `g`: `size` parallel
-  /// (target, lane-mask) pairs, EdgeId-ascending. Zero-copy arena view.
+  /// (target, lane-mask) pairs, EdgeId-ascending, plus each entry's offset
+  /// within u's out-row (null unless record_edge_offsets). Zero-copy view.
   struct LaneAdjacency {
     const NodeId* targets;
     const uint64_t* masks;
+    const uint32_t* edge_offsets;
     uint32_t size;
   };
   LaneAdjacency LaneTargets(uint32_t g, NodeId u) const {
     const uint32_t* off =
-        lane_node_offsets_.data() +
+        node_offsets_.data() +
         static_cast<std::size_t>(g) * (graph_->num_nodes() + 1);
-    const std::size_t base = lane_entry_base_[g];
-    return {lane_targets_.data() + base + off[u],
-            lane_masks_.data() + base + off[u], off[u + 1] - off[u]};
+    const std::size_t begin = entry_base_[g] + off[u];
+    return {rows_.targets.data() + begin, rows_.masks.data() + begin,
+            record_edge_offsets_ ? rows_.edge_offsets.data() + begin
+                                 : nullptr,
+            off[u + 1] - off[u]};
   }
   /// Prefetch hint for a union row about to be scanned: a lane walk's
   /// worklist names its upcoming rows, and each row is a short burst at a
@@ -309,13 +279,13 @@ class SketchOracle {
   /// Companion hint one step further out: pulls u's row OFFSETS so the
   /// PrefetchLaneRow issued for u next iteration doesn't itself stall.
   void PrefetchLaneOffsets(uint32_t g, NodeId u) const {
-    __builtin_prefetch(lane_node_offsets_.data() +
+    __builtin_prefetch(node_offsets_.data() +
                        static_cast<std::size_t>(g) * (graph_->num_nodes() + 1) +
                        u);
   }
 
-  /// Bytes held by the snapshot arenas — scalar AND lane-mask (capacity-
-  /// based, the repo-wide memory accounting convention).
+  /// Bytes held by the lane-mask arena (capacity-based, the repo-wide
+  /// memory accounting convention).
   std::size_t ArenaBytes() const;
 
   /// \brief Incremental marginal-gain session: StaticGreedy-style
@@ -324,11 +294,11 @@ class SketchOracle {
   /// The session keeps one persistent activated lane mask per (lane group,
   /// node) — i.e. the per-snapshot activated bitsets, stored transposed so
   /// they double as the bit-parallel kernel's activation words. Because
-  /// each snapshot's activated set is reachability-closed, the BFS for a
+  /// each snapshot's activated set is reachability-closed, the walk for a
   /// new candidate prunes at every already-activated node, so round i+1
   /// only explores the newly added seed's frontier instead of re-walking
   /// reach(S) per evaluation. Gains are maintained as integer
-  /// newly-activated counts, hence (in either eval mode, bitwise):
+  /// newly-activated counts, hence (bitwise):
   ///   MarginalGain(u) == Estimate(S + u) - Estimate(S)   (same estimand)
   ///   Spread() after committing S  == Estimate(S)        (bitwise)
   /// The session owns its scratch; multiple sessions on one oracle are
@@ -342,7 +312,6 @@ class SketchOracle {
     /// reason). With all-ones weights every weighted result is bitwise
     /// equal to the unweighted session's — see EstimateWeighted.
     explicit Session(const SketchOracle& oracle,
-                     SketchEval eval = SketchEval::kBitParallel,
                      std::span<const double> node_weights = {});
 
     /// Drops all committed seeds (keeps capacity).
@@ -360,8 +329,7 @@ class SketchOracle {
     double Commit(NodeId u);
 
     /// sigma (or sigma_w) of the committed seed set; bitwise equal to
-    /// oracle.Estimate(committed seeds) / EstimateWeighted(...) in either
-    /// eval mode.
+    /// oracle.Estimate(committed seeds) / EstimateWeighted(...).
     double Spread() const;
 
     std::size_t num_seeds() const { return num_seeds_; }
@@ -373,42 +341,32 @@ class SketchOracle {
     std::size_t ScratchBytes() const;
 
    private:
-    /// Newly activated totals of one weighted explore: the node count
-    /// feeds the work counter, the weight sum feeds gains/Spread.
-    struct WeightedNewly {
+    /// Newly activated totals of one explore: the node count feeds the
+    /// work counter and unweighted gains, the weight sum (kWeighted only)
+    /// weighted gains.
+    struct Newly {
       int64_t nodes = 0;
       double weight = 0.0;
     };
 
-    /// One BFS per snapshot over the scalar arena (reference traversal).
-    template <bool kCommit>
-    int64_t ExploreScalar(NodeId u);
     /// One worklist pass per lane group over the lane-mask arena: every
     /// expansion of node v propagates v's pending lane word through each
-    /// union edge with fresh = live & pending[v] & ~activated[t].
-    template <bool kCommit>
-    int64_t ExploreLanes(NodeId u);
-    /// Weighted twins of the two kernels (kept separate so the unweighted
-    /// hot loops stay branch-free): same traversal, but each fresh
-    /// activation also accumulates its node weight (scalar: w(t) per
-    /// discovery; lanes: popcount(fresh) * w(t) per union edge).
-    template <bool kCommit>
-    WeightedNewly ExploreScalarWeighted(NodeId u);
-    template <bool kCommit>
-    WeightedNewly ExploreLanesWeighted(NodeId u);
+    /// union edge with fresh = live & pending[v] & ~activated[t]; weighted
+    /// walks also add popcount(fresh) * w(t) (a template flag, so the
+    /// unweighted hot loop stays branch-free).
+    template <bool kCommit, bool kWeighted>
+    Newly Explore(NodeId u);
 
     const SketchOracle& oracle_;
-    SketchEval eval_;
     /// Per-node objective weights; empty = unweighted (see constructor).
     std::span<const double> weights_;
     NodeId n_;
     uint32_t num_groups_;
     /// Activated lane masks, group-major: bit b of lanes_[g * n + u] means
-    /// u is activated in snapshot 64 g + b. The scalar traversal reads the
-    /// same words one bit at a time, so both modes share one state layout.
+    /// u is activated in snapshot 64 g + b.
     std::vector<uint64_t> lanes_;
-    /// Bit-parallel frontier words (pending lanes to expand per node);
-    /// self-clearing — every pushed node is popped with its word zeroed.
+    /// Frontier words (pending lanes to expand per node); self-clearing —
+    /// every pushed node is popped with its word zeroed.
     std::vector<uint64_t> pending_;
     /// Probe undo log: non-committing walks write their trial lanes into
     /// the activated words directly (one random access per edge instead of
@@ -420,8 +378,7 @@ class SketchOracle {
       uint64_t word;
     };
     std::vector<LaneUndo> undo_;
-    EpochSet trial_;  // scalar-mode trial visited set
-    /// Shared worklist: scalar BFS queue / bit-parallel FIFO wave walk.
+    /// FIFO wave worklist.
     std::vector<NodeId> stack_;
     int64_t total_active_ = 0;
     /// Weighted-session accumulators (exactly mirror total_active_ /
@@ -433,39 +390,41 @@ class SketchOracle {
   };
 
  private:
-  struct SnapshotBuffer;
-  void SampleAll(ThreadPool* pool, Deadline* deadline);
-  void SampleOne(uint32_t snapshot, SnapshotBuffer& buffer) const;
-  /// Deterministic post-pass: transposes the sampled scalar arena into the
-  /// per-group union lane-mask arena (same worlds, different layout).
-  void BuildLaneArena();
-  /// Initial SplitMix64 state of the (snapshot, node) row stream.
-  uint64_t NodeStreamState(uint32_t snapshot, NodeId node) const {
-    return seed_ + kSnapshotSeedSalt * (snapshot + uint64_t{1}) +
-           kSnapshotNodeSalt * (static_cast<uint64_t>(node) + 1);
-  }
-  /// SplitMix64 output -> uniform double in [0, 1) (Rng::NextDouble's
-  /// mantissa construction, applied to the row streams).
-  static double UnitDouble(uint64_t bits) {
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-  }
-  /// ApplyDelta per model: IC/WC splice dirty *source* rows; LT recovers
-  /// clean targets' live picks and redraws dirty *target* rows, then
-  /// rebuilds the lane arena wholesale (LT lane rows depend on in-rows of
-  /// every target, so per-row splicing does not apply).
+  /// Parallel union-entry arrays: the arena's, or one sampling shard's.
+  struct LaneRows {
+    std::vector<NodeId> targets;
+    std::vector<uint64_t> masks;
+    std::vector<uint32_t> edge_offsets;  // when recorded
+  };
+
+  /// (Re)samples the whole arena for the bound graph/params; on deadline
+  /// expiry sets build_status_ and returns with the arena incomplete.
+  void Sample(ThreadPool* pool, Deadline* deadline);
+  /// LT: ORs each lane's live in-edge pick of the targets in [lo, hi) into
+  /// `edge_mask` (one word per EdgeId). Distinct targets own disjoint
+  /// in-edges, so disjoint ranges may run concurrently.
+  void PickLiveInEdges(uint32_t g, NodeId lo, NodeId hi,
+                       uint64_t* edge_mask) const;
+  /// Appends u's union row of lane group `g` to `out`. IC/WC flip u's
+  /// out-edges from every lane's (snapshot, u) stream into `row_mask`;
+  /// LT (non-null `lt_edge_mask`) emits u's out-edges picked by
+  /// PickLiveInEdges and clears their words.
+  void AppendRow(uint32_t g, NodeId u, uint64_t* lt_edge_mask,
+                 std::vector<uint64_t>& row_mask, LaneRows& out) const;
+  /// Appends entries [lo, hi) of `from` to the arena.
+  void AppendEntries(const LaneRows& from, std::size_t lo, std::size_t hi);
+  /// Trims growth slack so ArenaBytes() is exact and deterministic.
+  void ShrinkArena();
   Status ApplyDeltaCascade(const Graph& new_graph,
                            const InfluenceParams& new_params);
-  Status ApplyDeltaLinearThreshold(const Graph& new_graph,
-                                   const InfluenceParams& new_params);
 
-  int64_t EstimateScalar(std::span<const NodeId> seeds) const;
-  int64_t EstimateLanes(std::span<const NodeId> seeds) const;
-  double EstimateScalarWeighted(std::span<const NodeId> seeds,
-                                std::span<const double> weights) const;
-  double EstimateLanesWeighted(std::span<const NodeId> seeds,
-                               std::span<const double> weights) const;
-  void AccumulateIcnLevelCountsScalar(std::span<const NodeId> seeds) const;
-  void AccumulateIcnLevelCountsLanes(std::span<const NodeId> seeds) const;
+  /// Lane walk behind Estimate / EstimateWeighted: the reached count
+  /// over all lanes, or (kWeighted) the sum of popcount(fresh) * w(t).
+  template <bool kWeighted>
+  std::conditional_t<kWeighted, double, int64_t> SumReached(
+      std::span<const NodeId> seeds, std::span<const double> weights) const;
+  /// Level-synchronous lane walk behind EstimateIcnPositive.
+  void AccumulateIcnLevelCounts(std::span<const NodeId> seeds) const;
 
   // Re-bindable: ApplyDelta points the oracle at the mutated graph and
   // replaces the owned params copy (owning the copy keeps the oracle valid
@@ -478,23 +437,16 @@ class SketchOracle {
   bool record_edge_offsets_;
   Status build_status_;  // non-OK when a deadline aborted the sampling pass
 
-  std::vector<NodeId> entries_;
-  std::vector<uint32_t> edge_offsets_;   // parallel to entries_ when recorded
-  std::vector<uint32_t> node_offsets_;   // R * (n + 1), snapshot-local
-  std::vector<std::size_t> entry_base_;  // R + 1
-
-  // Word-transposed lane-mask arena (see class comment).
-  std::vector<NodeId> lane_targets_;
-  std::vector<uint64_t> lane_masks_;
-  std::vector<uint32_t> lane_edge_offsets_;  // when recorded
-  std::vector<uint32_t> lane_node_offsets_;  // G * (n + 1), group-local
-  std::vector<std::size_t> lane_entry_base_;  // G + 1
+  // The lane-mask arena (see class comment).
+  LaneRows rows_;
+  std::vector<uint32_t> node_offsets_;   // G * (n + 1), group-local
+  std::vector<std::size_t> entry_base_;  // G + 1
 
   // Reusable one-shot evaluation scratch (Estimate and the replay
   // estimators are single-caller; see class comment).
   mutable EpochSet visited_;
   mutable std::vector<NodeId> queue_;
-  mutable std::vector<NodeId> frontier_;     // bit-parallel level/touch lists
+  mutable std::vector<NodeId> frontier_;        // level/touch lists
   mutable std::vector<uint64_t> lane_state_;    // activated words, n
   mutable std::vector<uint64_t> lane_pending_;  // frontier words, n
   mutable std::vector<uint64_t> lane_next_;     // next-level words, n

@@ -64,8 +64,11 @@ Result<std::shared_ptr<McObjective>> MakeMcObjective(const SolveContext& ctx) {
         r.query == QueryKind::kTargeted ? r.target_weights
                                         : std::vector<double>{};
     return std::shared_ptr<McObjective>(std::make_shared<SketchSpreadObjective>(
-        std::move(sketch), /*use_session=*/true, r.sketch_eval,
-        std::move(weights)));
+        std::move(sketch), /*use_session=*/true, std::move(weights)));
+  }
+  if (r.mc == 0) {
+    return Status::InvalidArgument(
+        "the Monte-Carlo spread objective needs mc > 0 simulations");
   }
   McOptions mc;
   mc.num_simulations = r.mc;

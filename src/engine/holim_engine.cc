@@ -197,11 +197,6 @@ std::string HolimEngine::SelectorKey(const AlgorithmInfo& info,
   key += "|snapshots=" + std::to_string(r.num_snapshots);
   key += "|rescore=" + std::to_string(r.incremental_rescore ? 1 : 0);
   key += "|threads=" + std::to_string(r.threads);
-  // Eval mode changes no result bits, but sketch-backed selectors capture
-  // it at construction (session scratch layout), so cached selectors must
-  // not leak across modes. The sketch ARENA key deliberately omits it —
-  // both traversals read the same worlds.
-  key += "|eval=" + std::to_string(static_cast<int>(r.sketch_eval));
   // Query-family knobs. The kind and the *content* of costs / target
   // weights / given seeds are all part of the key (a weighted objective is
   // baked into the selector at construction; cost vectors gate which
@@ -282,6 +277,20 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
                              request.query == QueryKind::kTargeted;
   if (runs_selector && request.k == 0) {
     return Status::InvalidArgument("k must be positive");
+  }
+  // Zero sampled worlds or simulations make every estimate a 0/0 average:
+  // reject before any artifact is built. (The hill-climbers' MC objective
+  // checks `mc` itself when its factory runs.)
+  if (request.oracle == SpreadOracle::kSketch &&
+      request.EffectiveSketchCount() == 0) {
+    return Status::InvalidArgument(
+        "oracle=sketch needs at least one snapshot (num_sketches > 0, or "
+        "mc > 0 when num_sketches is 0)");
+  }
+  if (request.oracle == SpreadOracle::kMonteCarlo && request.mc == 0 &&
+      (!runs_selector || request.evaluate_spread)) {
+    return Status::InvalidArgument(
+        "a Monte-Carlo spread estimate needs mc > 0 simulations");
   }
   const AlgorithmInfo* info =
       AlgorithmRegistry::Global().Find(request.algorithm);
@@ -487,11 +496,10 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   if (request.evaluate_spread && !result.degraded) {
     Timer spread_timer;
     if (eval_sketch != nullptr) {
-      result.spread = eval_sketch->Estimate(result.seeds,
-                                            request.sketch_eval);
+      result.spread = eval_sketch->Estimate(result.seeds);
       if (request.query == QueryKind::kTargeted) {
         result.targeted_spread = eval_sketch->EstimateWeighted(
-            result.seeds, request.target_weights, request.sketch_eval);
+            result.seeds, request.target_weights);
       }
     } else {
       McOptions mc;
@@ -547,7 +555,7 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
     // session spread (bitwise, when the per-commit quotients are exact —
     // e.g. any power-of-two snapshot count).
     SketchOracle::Session session(
-        *sketch, request.sketch_eval,
+        *sketch,
         weighted ? std::span<const double>(request.target_weights)
                  : std::span<const double>{});
     result.seed_contributions.reserve(request.given_seeds.size());
@@ -557,17 +565,17 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
     const double session_spread = session.Spread();
     if (weighted) {
       result.targeted_spread = session_spread;
-      result.spread = sketch->Estimate(result.seeds, request.sketch_eval);
+      result.spread = sketch->Estimate(result.seeds);
     } else {
       result.spread = session_spread;
     }
     result.scratch_bytes = session.ScratchBytes();
   } else {  // kEvaluate — `evaluate_spread` is implied by the kind.
     if (sketch != nullptr) {
-      result.spread = sketch->Estimate(result.seeds, request.sketch_eval);
+      result.spread = sketch->Estimate(result.seeds);
       if (weighted) {
         result.targeted_spread = sketch->EstimateWeighted(
-            result.seeds, request.target_weights, request.sketch_eval);
+            result.seeds, request.target_weights);
       }
     } else {
       McOptions mc;

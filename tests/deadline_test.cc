@@ -75,30 +75,23 @@ TEST_F(DeadlineSolveTest, WorkBudgetDegradesToExactPrefixPerAlgorithm) {
   struct Case {
     const char* algorithm;
     SpreadOracle oracle;
-    SketchEval eval;
   };
   const Case cases[] = {
-      {"greedy", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"celf", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"greedy", SpreadOracle::kSketch, SketchEval::kScalar},
-      {"greedy", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"celf", SpreadOracle::kSketch, SketchEval::kScalar},
-      {"celf", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"celf++", SpreadOracle::kSketch, SketchEval::kBitParallel},
-      {"easyim", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"static-greedy", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"tim+", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
-      {"imm", SpreadOracle::kMonteCarlo, SketchEval::kBitParallel},
+      {"greedy", SpreadOracle::kMonteCarlo},
+      {"celf", SpreadOracle::kMonteCarlo},
+      {"greedy", SpreadOracle::kSketch},
+      {"celf", SpreadOracle::kSketch},
+      {"celf++", SpreadOracle::kSketch},
+      {"easyim", SpreadOracle::kMonteCarlo},
+      {"static-greedy", SpreadOracle::kMonteCarlo},
+      {"tim+", SpreadOracle::kMonteCarlo},
+      {"imm", SpreadOracle::kMonteCarlo},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algorithm) +
-                 (c.oracle == SpreadOracle::kSketch
-                      ? (c.eval == SketchEval::kScalar ? " sketch/scalar"
-                                                      : " sketch/bitparallel")
-                      : " mc"));
+                 (c.oracle == SpreadOracle::kSketch ? " sketch" : " mc"));
     SolveRequest untimed = BaseRequest(c.algorithm);
     untimed.oracle = c.oracle;
-    untimed.sketch_eval = c.eval;
     untimed.num_sketches = 32;
 
     HolimEngine reference(graph_);

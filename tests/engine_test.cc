@@ -252,6 +252,31 @@ TEST_F(EngineTest, InvalidRequestsFailWithInvalidArgument) {
   sketch_opinion.opinions = &opinions_;
   sketch_opinion.oracle = SpreadOracle::kSketch;
   EXPECT_FALSE(engine.Solve(sketch_opinion).ok());
+
+  // Zero sampled worlds (R = 0: num_sketches 0 mirrors mc) or zero
+  // Monte-Carlo simulations leave every estimate a 0/0 average: rejected
+  // before any artifact is built, with or without a work budget.
+  SolveRequest no_worlds = BaseRequest("celf", 0);
+  no_worlds.oracle = SpreadOracle::kSketch;
+  no_worlds.mc = 0;
+  SolveRequest no_sims_objective = BaseRequest("celf", 0);
+  no_sims_objective.mc = 0;
+  no_sims_objective.evaluate_spread = false;  // the objective samples
+  SolveRequest no_sims_eval = BaseRequest("degree", 0);
+  no_sims_eval.mc = 0;
+  for (SolveRequest zero : {no_worlds, no_sims_objective, no_sims_eval}) {
+    for (const uint64_t budget : {uint64_t{0}, uint64_t{1000}}) {
+      zero.work_budget = budget;
+      auto result = engine.Solve(zero);
+      ASSERT_FALSE(result.ok()) << zero.algorithm;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << zero.algorithm << ": " << result.status().ToString();
+    }
+  }
+  EXPECT_EQ(engine.workspace().num_artifacts(), 0u);
+  // A solve that samples nothing needs no sample count.
+  no_sims_eval.evaluate_spread = false;
+  EXPECT_TRUE(engine.Solve(no_sims_eval).ok());
 }
 
 TEST_F(EngineTest, ParamsFingerprintInvalidatesExactly) {

@@ -4,10 +4,9 @@
 //  * budgeted greedy matches the exhaustive-over-subsets optimum on a
 //    crafted graph where the drop-when-over-budget rule must fire;
 //  * uniform-cost budgeted selection is bitwise-identical to plain CELF /
-//    greedy at budget == k (scalar AND bit-parallel sketch eval);
-//  * all-ones targeted selection is bitwise-identical to untargeted
-//    (scalar AND bit-parallel), and its weighted spread equals the plain
-//    spread bitwise;
+//    greedy at budget == k;
+//  * all-ones targeted selection is bitwise-identical to untargeted, and
+//    its weighted spread equals the plain spread bitwise;
 //  * explain's per-seed contributions telescope to the evaluate spread
 //    (bitwise at a power-of-two snapshot count) and reproduce CELF's
 //    per-round seed scores;
@@ -122,28 +121,24 @@ TEST_F(QueryFamilyTest, BudgetedMatchesExhaustiveOptimumOnStars) {
 // With uniform (empty -> 1.0) costs and budget == k, the benefit-per-cost
 // ratio IS the gain and the drop rule never fires before the budget is
 // spent — selection, per-round scores, and spread must be bitwise equal
-// to the plain top-k solve, on both sketch traversals.
+// to the plain top-k solve.
 TEST_F(QueryFamilyTest, UniformCostBudgetedBitwiseEqualsTopK) {
   constexpr uint32_t kSeeds = 6;
   for (const char* algorithm : {"greedy", "celf", "celf++"}) {
-    for (const SketchEval eval :
-         {SketchEval::kBitParallel, SketchEval::kScalar}) {
-      HolimEngine engine(graph_);
-      SolveRequest topk = BaseRequest(algorithm, kSeeds);
-      topk.sketch_eval = eval;
-      ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
+    HolimEngine engine(graph_);
+    SolveRequest topk = BaseRequest(algorithm, kSeeds);
+    ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
 
-      SolveRequest budgeted = topk;
-      budgeted.query = QueryKind::kBudgeted;
-      budgeted.budget = static_cast<double>(kSeeds);
-      ASSERT_OK_AND_ASSIGN(SolveResult capped, engine.Solve(budgeted));
+    SolveRequest budgeted = topk;
+    budgeted.query = QueryKind::kBudgeted;
+    budgeted.budget = static_cast<double>(kSeeds);
+    ASSERT_OK_AND_ASSIGN(SolveResult capped, engine.Solve(budgeted));
 
-      EXPECT_EQ(capped.seeds, plain.seeds) << algorithm;
-      EXPECT_EQ(capped.seed_scores, plain.seed_scores) << algorithm;
-      EXPECT_EQ(capped.spread, plain.spread) << algorithm;
-      EXPECT_DOUBLE_EQ(capped.total_cost,
-                       static_cast<double>(capped.seeds.size()));
-    }
+    EXPECT_EQ(capped.seeds, plain.seeds) << algorithm;
+    EXPECT_EQ(capped.seed_scores, plain.seed_scores) << algorithm;
+    EXPECT_EQ(capped.spread, plain.spread) << algorithm;
+    EXPECT_DOUBLE_EQ(capped.total_cost,
+                     static_cast<double>(capped.seeds.size()));
   }
 }
 
@@ -153,23 +148,19 @@ TEST_F(QueryFamilyTest, UniformCostBudgetedBitwiseEqualsTopK) {
 TEST_F(QueryFamilyTest, AllOnesTargetedBitwiseEqualsUntargeted) {
   constexpr uint32_t kSeeds = 6;
   for (const char* algorithm : {"greedy", "celf", "celf++"}) {
-    for (const SketchEval eval :
-         {SketchEval::kBitParallel, SketchEval::kScalar}) {
-      HolimEngine engine(graph_);
-      SolveRequest topk = BaseRequest(algorithm, kSeeds);
-      topk.sketch_eval = eval;
-      ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
+    HolimEngine engine(graph_);
+    SolveRequest topk = BaseRequest(algorithm, kSeeds);
+    ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
 
-      SolveRequest targeted = topk;
-      targeted.query = QueryKind::kTargeted;
-      targeted.target_weights.assign(graph_.num_nodes(), 1.0);
-      ASSERT_OK_AND_ASSIGN(SolveResult aimed, engine.Solve(targeted));
+    SolveRequest targeted = topk;
+    targeted.query = QueryKind::kTargeted;
+    targeted.target_weights.assign(graph_.num_nodes(), 1.0);
+    ASSERT_OK_AND_ASSIGN(SolveResult aimed, engine.Solve(targeted));
 
-      EXPECT_EQ(aimed.seeds, plain.seeds) << algorithm;
-      EXPECT_EQ(aimed.seed_scores, plain.seed_scores) << algorithm;
-      EXPECT_EQ(aimed.spread, plain.spread) << algorithm;
-      EXPECT_EQ(aimed.targeted_spread, aimed.spread) << algorithm;
-    }
+    EXPECT_EQ(aimed.seeds, plain.seeds) << algorithm;
+    EXPECT_EQ(aimed.seed_scores, plain.seed_scores) << algorithm;
+    EXPECT_EQ(aimed.spread, plain.spread) << algorithm;
+    EXPECT_EQ(aimed.targeted_spread, aimed.spread) << algorithm;
   }
 }
 
@@ -201,30 +192,25 @@ TEST_F(QueryFamilyTest, TargetedSolveBeatsUntargetedOnWeightedObjective) {
 // snapshot count, where every per-commit quotient is an exact dyadic) and
 // reproduce CELF's per-round seed scores for CELF's own seed order.
 TEST_F(QueryFamilyTest, ExplainContributionsSumToEvaluateSpread) {
-  for (const SketchEval eval :
-       {SketchEval::kBitParallel, SketchEval::kScalar}) {
-    HolimEngine engine(graph_);
-    SolveRequest topk = BaseRequest("celf", 6);
-    topk.num_sketches = 256;  // power of two: exact telescoping
-    topk.sketch_eval = eval;
-    ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
+  HolimEngine engine(graph_);
+  SolveRequest topk = BaseRequest("celf", 6);
+  topk.num_sketches = 256;  // power of two: exact telescoping
+  ASSERT_OK_AND_ASSIGN(SolveResult plain, engine.Solve(topk));
 
-    SolveRequest explain = topk;
-    explain.query = QueryKind::kExplain;
-    explain.given_seeds = plain.seeds;
-    ASSERT_OK_AND_ASSIGN(SolveResult attributed,
-                               engine.Solve(explain));
-    ASSERT_EQ(attributed.seed_contributions.size(), plain.seeds.size());
-    EXPECT_EQ(attributed.seed_contributions, plain.seed_scores);
+  SolveRequest explain = topk;
+  explain.query = QueryKind::kExplain;
+  explain.given_seeds = plain.seeds;
+  ASSERT_OK_AND_ASSIGN(SolveResult attributed, engine.Solve(explain));
+  ASSERT_EQ(attributed.seed_contributions.size(), plain.seeds.size());
+  EXPECT_EQ(attributed.seed_contributions, plain.seed_scores);
 
-    SolveRequest evaluate = explain;
-    evaluate.query = QueryKind::kEvaluate;
-    ASSERT_OK_AND_ASSIGN(SolveResult scored, engine.Solve(evaluate));
-    double sum = 0.0;
-    for (const double c : attributed.seed_contributions) sum += c;
-    EXPECT_EQ(sum, scored.spread);
-    EXPECT_EQ(attributed.spread, scored.spread);
-  }
+  SolveRequest evaluate = explain;
+  evaluate.query = QueryKind::kEvaluate;
+  ASSERT_OK_AND_ASSIGN(SolveResult scored, engine.Solve(evaluate));
+  double sum = 0.0;
+  for (const double c : attributed.seed_contributions) sum += c;
+  EXPECT_EQ(sum, scored.spread);
+  EXPECT_EQ(attributed.spread, scored.spread);
 }
 
 // Weighted explain telescopes to the weighted evaluate spread the same

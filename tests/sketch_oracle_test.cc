@@ -5,6 +5,7 @@
 
 #include "algo/celf.h"
 #include "algo/greedy.h"
+#include "bench_support/sketch_reference.h"
 #include "diffusion/sketch_oracle.h"
 #include "diffusion/spread_estimator.h"
 #include "graph/generators.h"
@@ -16,16 +17,18 @@ namespace holim {
 namespace {
 
 SketchOptions Opts(uint32_t snapshots, uint64_t seed = 7,
-                   ThreadPool* pool = nullptr) {
+                   ThreadPool* pool = nullptr,
+                   bool record_edge_offsets = false) {
   SketchOptions options;
   options.num_snapshots = snapshots;
   options.seed = seed;
   options.pool = pool;
+  options.record_edge_offsets = record_edge_offsets;
   return options;
 }
 
-// Reference reachability count over one snapshot's live adjacency.
-int64_t BruteForceReach(const SketchOracle& oracle, uint32_t s,
+// Reachability count over one snapshot's live adjacency.
+int64_t BruteForceReach(const ScalarSketchReference& worlds, uint32_t s,
                         const std::vector<NodeId>& seeds, NodeId n) {
   std::vector<char> seen(n, 0);
   std::vector<NodeId> stack;
@@ -39,7 +42,7 @@ int64_t BruteForceReach(const SketchOracle& oracle, uint32_t s,
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    for (NodeId t : oracle.LiveTargets(s, v)) {
+    for (NodeId t : worlds.LiveTargets(s, v)) {
       if (seen[t]) continue;
       seen[t] = 1;
       stack.push_back(t);
@@ -49,16 +52,45 @@ int64_t BruteForceReach(const SketchOracle& oracle, uint32_t s,
   return reached;
 }
 
-double BruteForceSigma(const SketchOracle& oracle,
+double BruteForceSigma(const ScalarSketchReference& worlds,
                        const std::vector<NodeId>& seeds, NodeId n) {
   int64_t total = 0;
-  for (uint32_t s = 0; s < oracle.num_snapshots(); ++s) {
-    total += BruteForceReach(oracle, s, seeds, n);
+  for (uint32_t s = 0; s < worlds.num_snapshots(); ++s) {
+    total += BruteForceReach(worlds, s, seeds, n);
   }
   const int64_t spread =
-      total - static_cast<int64_t>(oracle.num_snapshots()) *
+      total - static_cast<int64_t>(worlds.num_snapshots()) *
                   static_cast<int64_t>(seeds.size());
-  return static_cast<double>(spread) / oracle.num_snapshots();
+  return static_cast<double>(spread) / worlds.num_snapshots();
+}
+
+// Snapshot s's live out-targets of u in the lane arena: u's union row in
+// lane group s / 64, filtered by lane bit s % 64.
+std::vector<NodeId> LaneWorldRow(const SketchOracle& oracle, uint32_t s,
+                                 NodeId u) {
+  const auto adj = oracle.LaneTargets(s / SketchOracle::kLanesPerGroup, u);
+  const uint64_t bit = uint64_t{1} << (s % SketchOracle::kLanesPerGroup);
+  std::vector<NodeId> row;
+  for (uint32_t j = 0; j < adj.size; ++j) {
+    if (adj.masks[j] & bit) row.push_back(adj.targets[j]);
+  }
+  return row;
+}
+
+// The lane-only byte count recomputed from the public views: 12 bytes per
+// union entry (+4 with edge offsets), G (n + 1) uint32 offsets and G + 1
+// group extents — no other storage.
+std::size_t LaneOnlyBytes(const SketchOracle& oracle, bool edge_offsets) {
+  const NodeId n = oracle.graph().num_nodes();
+  std::size_t entries = 0;
+  for (uint32_t g = 0; g < oracle.num_lane_groups(); ++g) {
+    for (NodeId u = 0; u < n; ++u) entries += oracle.LaneTargets(g, u).size;
+  }
+  const std::size_t groups = oracle.num_lane_groups();
+  return entries * (sizeof(NodeId) + sizeof(uint64_t) +
+                    (edge_offsets ? sizeof(uint32_t) : 0)) +
+         groups * (n + 1) * sizeof(uint32_t) +
+         (groups + 1) * sizeof(std::size_t);
 }
 
 // Hand-built 5-node world, IC with p = 1: every snapshot is the full graph,
@@ -112,29 +144,58 @@ TEST(SketchOracleTest, EstimateMatchesBruteForceOnRandomGraph) {
   for (auto params : {MakeUniformIc(g, 0.3), MakeWeightedCascade(g),
                       MakeLinearThreshold(g)}) {
     SketchOracle oracle(g, params, Opts(13));
+    const ScalarSketchReference worlds(g, params, 13, 7);
     EXPECT_DOUBLE_EQ(oracle.Estimate(seeds),
-                     BruteForceSigma(oracle, seeds, g.num_nodes()));
+                     BruteForceSigma(worlds, seeds, g.num_nodes()));
   }
 }
 
-// The arena is bitwise identical for any sampling thread count (the same
-// contract as the RR engine's GenerateParallel).
+// The lane arena holds exactly the reference's per-snapshot worlds, for
+// every model, word-boundary snapshot count, edge-offset setting and
+// sampling pool (serial, 1 and 8 threads — the arena is bitwise identical
+// for any thread count, the same contract as the RR engine's
+// GenerateParallel), and it is the oracle's only storage.
 TEST(SketchOracleTest, ArenaDeterministicAcrossThreadCounts) {
   Graph g = GenerateBarabasiAlbert(200, 3, 5).ValueOrDie();
-  for (auto params : {MakeWeightedCascade(g), MakeLinearThreshold(g)}) {
-    ThreadPool pool1(1), pool8(8);
-    SketchOracle serial(g, params, Opts(10, 21, nullptr));
-    SketchOracle one(g, params, Opts(10, 21, &pool1));
-    SketchOracle eight(g, params, Opts(10, 21, &pool8));
-    ASSERT_EQ(serial.ArenaBytes(), eight.ArenaBytes());
-    ASSERT_EQ(one.ArenaBytes(), eight.ArenaBytes());
-    for (uint32_t s = 0; s < serial.num_snapshots(); ++s) {
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        auto a = serial.LiveTargets(s, u);
-        auto b1 = one.LiveTargets(s, u);
-        auto c = eight.LiveTargets(s, u);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b1.begin(), b1.end()));
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), c.begin(), c.end()));
+  ThreadPool pool1(1), pool8(8);
+  for (const auto& params : {MakeUniformIc(g, 0.3), MakeWeightedCascade(g),
+                             MakeLinearThreshold(g)}) {
+    for (uint32_t r : {1u, 63u, 64u, 65u, 200u}) {
+      const ScalarSketchReference worlds(g, params, r, 21);
+      for (bool offsets : {false, true}) {
+        SCOPED_TRACE("model=" + std::to_string(static_cast<int>(params.model)) +
+                     " R=" + std::to_string(r) +
+                     " offsets=" + std::to_string(offsets));
+        SketchOracle serial(g, params, Opts(r, 21, nullptr, offsets));
+        SketchOracle one(g, params, Opts(r, 21, &pool1, offsets));
+        SketchOracle eight(g, params, Opts(r, 21, &pool8, offsets));
+        ASSERT_EQ(serial.ArenaBytes(), LaneOnlyBytes(serial, offsets));
+        ASSERT_EQ(serial.ArenaBytes(), one.ArenaBytes());
+        ASSERT_EQ(serial.ArenaBytes(), eight.ArenaBytes());
+        for (uint32_t grp = 0; grp < serial.num_lane_groups(); ++grp) {
+          for (NodeId u = 0; u < g.num_nodes(); ++u) {
+            const auto a = serial.LaneTargets(grp, u);
+            for (const SketchOracle* other : {&one, &eight}) {
+              const auto b = other->LaneTargets(grp, u);
+              ASSERT_EQ(a.size, b.size);
+              ASSERT_TRUE(std::equal(a.targets, a.targets + a.size,
+                                     b.targets));
+              ASSERT_TRUE(std::equal(a.masks, a.masks + a.size, b.masks));
+            }
+            ASSERT_EQ(a.edge_offsets != nullptr, offsets);
+            for (uint32_t j = 0; offsets && j < a.size; ++j) {
+              ASSERT_EQ(g.OutNeighbors(u)[a.edge_offsets[j]], a.targets[j]);
+            }
+          }
+        }
+        for (uint32_t s = 0; s < r; ++s) {
+          for (NodeId u = 0; u < g.num_nodes(); ++u) {
+            const auto expected = worlds.LiveTargets(s, u);
+            ASSERT_EQ(LaneWorldRow(serial, s, u),
+                      std::vector<NodeId>(expected.begin(), expected.end()))
+                << "snapshot " << s << " node " << u;
+          }
+        }
       }
     }
   }

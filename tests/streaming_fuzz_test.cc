@@ -1,8 +1,9 @@
 // Randomized churn fuzzing for the streaming-delta layer: a long seeded
-// sequence of random batches is applied incrementally while a shadow
-// oracle of every artifact is rebuilt from scratch each step; any
-// divergence — in the graph, the sketch arenas, or the RR arena — fails
-// the step it first appears at. Degenerate batch shapes (empty, duplicate
+// sequence of random batches (some of them growing the node set) is
+// applied incrementally while a shadow oracle of every artifact is rebuilt
+// from scratch each step; any divergence — in the graph, the sketch arena
+// (patched vs cold vs the scalar reference's worlds), or the RR arena —
+// fails the step it first appears at. Degenerate batch shapes (empty, duplicate
 // edge, delete-then-reinsert, self-loop, remove-absent) get explicit
 // cases of their own.
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "algo/rr_sets.h"
+#include "bench_support/sketch_reference.h"
 #include "diffusion/sketch_oracle.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
@@ -79,16 +81,36 @@ void ExpectGraphsEqual(const Graph& a, const Graph& b, int step) {
   }
 }
 
+// patched == cold lane rows (targets and masks), every world == the
+// scalar reference's, and Estimate patched == cold == reference.
 void ExpectSketchEqual(const SketchOracle& patched, const SketchOracle& cold,
-                       int step) {
+                       const ScalarSketchReference& reference, int step) {
   ASSERT_EQ(patched.ArenaBytes(), cold.ArenaBytes()) << "step " << step;
   const NodeId n = cold.graph().num_nodes();
-  for (uint32_t s = 0; s < cold.num_snapshots(); ++s) {
+  ASSERT_EQ(patched.graph().num_nodes(), n) << "step " << step;
+  for (uint32_t g = 0; g < cold.num_lane_groups(); ++g) {
     for (NodeId u = 0; u < n; ++u) {
-      const auto a = patched.LiveTargets(s, u);
-      const auto b = cold.LiveTargets(s, u);
-      ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-                std::vector<NodeId>(b.begin(), b.end()))
+      const auto a = patched.LaneTargets(g, u);
+      const auto b = cold.LaneTargets(g, u);
+      ASSERT_EQ(std::vector<NodeId>(a.targets, a.targets + a.size),
+                std::vector<NodeId>(b.targets, b.targets + b.size))
+          << "step " << step << " group " << g << " node " << u;
+      ASSERT_EQ(std::vector<uint64_t>(a.masks, a.masks + a.size),
+                std::vector<uint64_t>(b.masks, b.masks + b.size))
+          << "step " << step << " group " << g << " node " << u;
+    }
+  }
+  for (uint32_t s = 0; s < cold.num_snapshots(); ++s) {
+    const uint32_t g = s / SketchOracle::kLanesPerGroup;
+    const uint64_t bit = uint64_t{1} << (s % SketchOracle::kLanesPerGroup);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto adj = patched.LaneTargets(g, u);
+      std::vector<NodeId> world;
+      for (uint32_t j = 0; j < adj.size; ++j) {
+        if (adj.masks[j] & bit) world.push_back(adj.targets[j]);
+      }
+      const auto expected = reference.LiveTargets(s, u);
+      ASSERT_EQ(world, std::vector<NodeId>(expected.begin(), expected.end()))
           << "step " << step << " snapshot " << s << " node " << u;
     }
   }
@@ -98,12 +120,9 @@ void ExpectSketchEqual(const SketchOracle& patched, const SketchOracle& cold,
     for (int i = 0; i < 4; ++i) {
       seeds.push_back(static_cast<NodeId>(probe.NextBounded(n)));
     }
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kScalar))
-        << "step " << step;
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kBitParallel),
-              cold.Estimate(seeds, SketchEval::kBitParallel))
-        << "step " << step;
+    const double value = reference.Estimate(seeds);
+    EXPECT_EQ(patched.Estimate(seeds), value) << "step " << step;
+    EXPECT_EQ(cold.Estimate(seeds), value) << "step " << step;
   }
 }
 
@@ -155,7 +174,14 @@ TEST_P(StreamingFuzzTest, RandomChurnMatchesShadowRebuild) {
   constexpr int kSteps = 30;
   for (int step = 0; step < kSteps; ++step) {
     const std::size_t batch = 1 + rng.NextBounded(24);
-    const GraphDelta delta = MakeRandomDelta(streaming.graph(), batch, rng);
+    GraphDelta delta = MakeRandomDelta(streaming.graph(), batch, rng);
+    if (step % 5 == 2) {
+      // Grow the node set: a fresh node wired to and from existing ones
+      // (new rows and, for LT, a new in-row all resample).
+      const NodeId n = streaming.graph().num_nodes();
+      delta.Upsert(static_cast<NodeId>(rng.NextBounded(n)), n, 0.15);
+      delta.Upsert(n, static_cast<NodeId>(rng.NextBounded(n)), 0.15);
+    }
     auto resolved = streaming.Apply(delta);
     ASSERT_TRUE(resolved.ok()) << "step " << step << ": "
                                << resolved.status().message();
@@ -186,7 +212,8 @@ TEST_P(StreamingFuzzTest, RandomChurnMatchesShadowRebuild) {
     ASSERT_TRUE(sketch_status.ok()) << "step " << step << ": "
                                     << sketch_status.message();
     const SketchOracle cold_sketch(streaming.graph(), params, Opts(64));
-    ExpectSketchEqual(patched_sketch, cold_sketch, step);
+    const ScalarSketchReference reference(streaming.graph(), params, 64, 7);
+    ExpectSketchEqual(patched_sketch, cold_sketch, reference, step);
 
     // Incremental RR collection vs cold shadow replay.
     const Status rr_status = patched_rr.ApplyDelta(streaming.graph(), params);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "algo/rr_sets.h"
+#include "bench_support/sketch_reference.h"
 #include "engine/holim_engine.h"
 #include "engine/workspace.h"
 #include "graph/delta.h"
@@ -214,30 +215,31 @@ void ExpectOraclesBitwiseEqual(const SketchOracle& patched,
                                const SketchOracle& cold, NodeId n) {
   ASSERT_EQ(patched.num_snapshots(), cold.num_snapshots());
   EXPECT_EQ(patched.ArenaBytes(), cold.ArenaBytes());
-  // Per-snapshot live rows (the scalar arena, via the public view).
-  for (uint32_t s = 0; s < cold.num_snapshots(); ++s) {
+  // Lane rows (targets and masks, via the public view).
+  for (uint32_t g = 0; g < cold.num_lane_groups(); ++g) {
     for (NodeId u = 0; u < n; ++u) {
-      const auto a = patched.LiveTargets(s, u);
-      const auto b = cold.LiveTargets(s, u);
-      ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-                std::vector<NodeId>(b.begin(), b.end()))
-          << "snapshot " << s << " node " << u;
+      const auto a = patched.LaneTargets(g, u);
+      const auto b = cold.LaneTargets(g, u);
+      ASSERT_EQ(std::vector<NodeId>(a.targets, a.targets + a.size),
+                std::vector<NodeId>(b.targets, b.targets + b.size))
+          << "group " << g << " node " << u;
+      ASSERT_EQ(std::vector<uint64_t>(a.masks, a.masks + a.size),
+                std::vector<uint64_t>(b.masks, b.masks + b.size))
+          << "group " << g << " node " << u;
     }
   }
-  // Estimates through both kernels: scalar reads the scalar arena, the
-  // bit-parallel kernel reads the lane arena, so this pins both.
+  // Estimates on both oracles and on the scalar reference's worlds of the
+  // mutated graph.
+  const ScalarSketchReference reference(cold.graph(), cold.params(),
+                                        cold.num_snapshots(), 7);
   Rng seed_rng(77);
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<NodeId> seeds;
     for (int i = 0; i < 5; ++i) {
       seeds.push_back(static_cast<NodeId>(seed_rng.NextBounded(n)));
     }
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kScalar));
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kBitParallel),
-              cold.Estimate(seeds, SketchEval::kBitParallel));
-    EXPECT_EQ(patched.Estimate(seeds, SketchEval::kScalar),
-              cold.Estimate(seeds, SketchEval::kBitParallel));
+    EXPECT_EQ(patched.Estimate(seeds), cold.Estimate(seeds));
+    EXPECT_EQ(patched.Estimate(seeds), reference.Estimate(seeds));
   }
 }
 

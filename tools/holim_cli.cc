@@ -67,6 +67,10 @@ Status Run(const BenchArgs& args) {
     return Status::OK();
   }
   auto config = ReadCommonConfig(args);
+  if (config.mc == 0) {
+    // Every run reports a Monte-Carlo spread of its seeds.
+    return Status::InvalidArgument("--mc must be a positive simulation count");
+  }
   const CommonOptionsSpec spec{/*oracle=*/true,
                                /*rescore_default=*/"incremental",
                                /*threads=*/true, /*query=*/true};

@@ -24,8 +24,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "bench_support/bench_main.h"
@@ -139,7 +141,13 @@ Status Run(const BenchArgs& args) {
   options.max_cache_bytes =
       static_cast<std::size_t>(cache_mib * 1024.0 * 1024.0);
   options.prewarm = args.GetBool("prewarm", true);
-  options.num_sketches = static_cast<uint32_t>(args.GetInt("sketches", 64));
+  const int64_t sketches = args.GetInt("sketches", 64);
+  if (sketches < 1 || sketches > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "--sketches must be a positive snapshot count, got: " +
+        std::to_string(sketches));
+  }
+  options.num_sketches = static_cast<uint32_t>(sketches);
   options.seed = config.seed;
   options.echo_timings = args.GetBool("echo-timings", false);
 
