@@ -34,8 +34,10 @@ inline std::shared_ptr<const SketchOracle> GetBenchSketchOracle(
   options.num_snapshots = config.mc;
   options.seed = config.seed + seed_offset;
   options.record_edge_offsets = record_edge_offsets;
-  return engine.workspace().GetSketchOracle(graph, params, options,
-                                            engine.graph_token());
+  return engine.workspace()
+      .GetSketchOracleChecked(graph, FingerprintedParams(params), options,
+                              engine.graph_token())
+      .ValueOrDie();
 }
 
 inline SolveRequest MakeSolveRequest(std::string algorithm, uint32_t k,

@@ -55,7 +55,7 @@ Result<std::shared_ptr<McObjective>> MakeMcObjective(const SolveContext& ctx) {
     options.deadline = ctx.deadline;
     HOLIM_ASSIGN_OR_RETURN(
         std::shared_ptr<const SketchOracle> sketch,
-        ctx.workspace.GetSketchOracleChecked(ctx.graph, *r.params, options,
+        ctx.workspace.GetSketchOracleChecked(ctx.graph, ctx.params, options,
                                              ctx.graph_token));
     // Targeted queries hill-climb the weighted objective sigma_w; the
     // objective copies the weights so the cached selector never dangles

@@ -174,13 +174,14 @@ ThreadPool* HolimEngine::PoolFor(uint32_t threads) {
 }
 
 std::string HolimEngine::SelectorKey(const AlgorithmInfo& info,
-                                     const SolveRequest& r) const {
+                                     const SolveRequest& r,
+                                     const FingerprintedParams& params) const {
   // Every knob that could influence the built selector is in the key; k is
   // deliberately absent (selectors take k at Select time), which is what
   // makes a k-sweep reuse one artifact. Over-keying on knobs an algorithm
   // ignores only costs a cheap rebuild, never correctness.
   std::string key = "selector|" + info.name;
-  key += "|fp=" + std::to_string(FingerprintParams(*r.params));
+  key += "|fp=" + std::to_string(params.fingerprint());
   key += "|op=" + (r.opinions != nullptr
                        ? std::to_string(FingerprintOpinions(*r.opinions))
                        : std::string("-"));
@@ -335,8 +336,12 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
 
   SolveResult result;
   result.query = request.query;
-  SolveContext ctx{*graph_, request, workspace_, PoolFor(request.threads),
-                   graph_token(), bounded ? &deadline : nullptr};
+  // The one params hash of this solve: every key below and every sketch
+  // lookup in the factory reuse it.
+  const FingerprintedParams params(*request.params);
+  SolveContext ctx{*graph_, request, params, workspace_,
+                   PoolFor(request.threads), graph_token(),
+                   bounded ? &deadline : nullptr};
 
   // Artifact acquisition: the cached selector (and, inside the factory,
   // any shared sketch oracle). artifact_seconds covers exactly the
@@ -347,15 +352,15 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
   const uint64_t pre_solve_tick = workspace_.tick();
   Timer artifact_timer;
   const std::string sketch_key =
-      SketchOracleKey(FingerprintParams(*request.params),
-                      request.EffectiveSketchCount(), request.seed,
-                      /*record_edge_offsets=*/false, graph_token());
+      SketchOracleKey(params.fingerprint(), request.EffectiveSketchCount(),
+                      request.seed, /*record_edge_offsets=*/false,
+                      graph_token());
   if (request.oracle == SpreadOracle::kSketch) {
     // "Warm" = the arena predates this solve (the factory may build it
     // below, which is still a cold build).
     result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
   }
-  const std::string selector_key = SelectorKey(*info, request);
+  const std::string selector_key = SelectorKey(*info, request, params);
   SeedSelector* selector = nullptr;
   // Bounded solves that miss the warm cache build an *uncached* selector:
   // a degraded Select can leave algorithm-internal state mid-round, which
@@ -411,7 +416,7 @@ Result<SolveResult> HolimEngine::Solve(const SolveRequest& request) {
       options.pool = ctx.pool;
       HOLIM_ASSIGN_OR_RETURN(
           eval_sketch,
-          workspace_.GetSketchOracleChecked(*graph_, *request.params, options,
+          workspace_.GetSketchOracleChecked(*graph_, params, options,
                                             graph_token()));
     } else {
       eval_sketch = workspace_.PeekSketchOracle(sketch_key);
@@ -531,17 +536,21 @@ Result<SolveResult> HolimEngine::SolveGivenSeeds(const SolveRequest& request,
   Timer artifact_timer;
   std::shared_ptr<const SketchOracle> sketch;
   if (request.oracle == SpreadOracle::kSketch) {
+    const FingerprintedParams params(*request.params);
     const std::string sketch_key =
-        SketchOracleKey(FingerprintParams(*request.params),
-                        request.EffectiveSketchCount(), request.seed,
-                        /*record_edge_offsets=*/false, graph_token());
+        SketchOracleKey(params.fingerprint(), request.EffectiveSketchCount(),
+                        request.seed, /*record_edge_offsets=*/false,
+                        graph_token());
     result.warm_sketch = workspace_.PeekSketchOracle(sketch_key) != nullptr;
     SketchOptions options;
     options.num_snapshots = request.EffectiveSketchCount();
     options.seed = request.seed;
     options.pool = PoolFor(request.threads);
-    sketch = workspace_.GetSketchOracle(*graph_, *request.params, options,
-                                        graph_token());
+    // A failed build (injected fault, hard byte budget) is this request's
+    // typed error; nothing was cached, so the engine stays clean.
+    HOLIM_ASSIGN_OR_RETURN(sketch,
+                           workspace_.GetSketchOracleChecked(
+                               *graph_, params, options, graph_token()));
     result.sketch_arena_bytes = sketch->ArenaBytes();
   }
   result.artifact_seconds = artifact_timer.ElapsedSeconds();

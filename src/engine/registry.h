@@ -16,12 +16,15 @@
 namespace holim {
 
 /// Everything a registered factory gets to build a selector: the engine's
-/// graph, the validated request, the workspace (for shared artifacts like
-/// the sketch oracle), and the engine-owned pool for `request.threads`
-/// (nullptr when serial).
+/// graph, the validated request, its params fingerprint, the workspace
+/// (for shared artifacts like the sketch oracle), and the engine-owned
+/// pool for `request.threads` (nullptr when serial).
 struct SolveContext {
   const Graph& graph;
   const SolveRequest& request;
+  /// `*request.params`, hashed once per solve by the engine; factories
+  /// key Workspace sketch lookups with it instead of re-hashing.
+  const FingerprintedParams& params;
   Workspace& workspace;
   ThreadPool* pool = nullptr;
   /// The engine's "(base fingerprint, delta epoch)" tag, folded into any

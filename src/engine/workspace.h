@@ -17,6 +17,8 @@
 
 namespace holim {
 
+class FingerprintedParams;
+
 /// \brief Parameter-keyed cache of the expensive solve artifacts — sketch
 /// oracle arenas and stateful selector instances (which in turn own RR
 /// arenas, score-sweep tables, and StaticGreedy snapshot samples) — so a
@@ -26,10 +28,14 @@ namespace holim {
 /// ## Cache keys & invalidation
 ///
 /// Keys are explicit strings built by HolimEngine from the *content*
-/// fingerprint of the model parameters (FNV-1a over the probability /
-/// opinion vectors — see FingerprintParams) plus every request knob that
-/// can influence the artifact (RNG seed, sample budget, algorithm
-/// options). A key either matches exactly — and reuse is bitwise-
+/// fingerprint of the model parameters (ContentHash over the model kind
+/// and the probability / opinion vectors — see FingerprintParams) plus
+/// every request knob that can influence the artifact (RNG seed, sample
+/// budget, algorithm options). The params fingerprint is computed once
+/// per request — HolimEngine::Solve builds one FingerprintedParams and
+/// hands it to every key and sketch lookup; ApplyDelta hashes the old and
+/// new params once each — and, in holimd, once per tenant model at
+/// AddTenant. A key either matches exactly — and reuse is bitwise-
 /// equivalent to a cold build, because every artifact is a deterministic
 /// pure function of its key (the RNG-sharding contracts of the RR engine,
 /// the sketch oracle, and the sweep kernel) and every cached selector's
@@ -93,21 +99,12 @@ class Workspace {
   explicit Workspace(std::size_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
   /// Returns the sketch oracle for `options`, building and caching it on
-  /// a miss. The key is derived HERE from (params content, options,
-  /// graph token) — see SketchOracleKey — so a caller cannot hand in
-  /// options that disagree with the key they are cached under. `reused`
-  /// (optional) reports whether the artifact was served warm.
-  ///
-  /// Legacy convenience wrapper over GetSketchOracleChecked: aborts the
-  /// process on a failed build. Failure requires an injected fault, a
-  /// deadline in `options`, or the hard byte budget — callers on this
-  /// wrapper use none of those, so it cannot fire for them.
-  std::shared_ptr<const SketchOracle> GetSketchOracle(
-      const Graph& graph, const InfluenceParams& params,
-      const SketchOptions& options, const std::string& graph_token = "",
-      bool* reused = nullptr);
-
-  /// GetSketchOracle with typed failure instead of success-or-abort:
+  /// a miss. The key is derived HERE from (params fingerprint, options,
+  /// graph token) — see SketchOracleKey — and FingerprintedParams can
+  /// only be built by hashing its params, so a caller cannot cache an
+  /// arena under a key that disagrees with the params it was sampled
+  /// from. `reused` (optional) reports whether the artifact was served
+  /// warm. Typed failures:
   ///  * an armed "workspace/sketch" fault injection point fires here;
   ///  * a deadline in `options` that expires mid-sampling aborts the build
   ///    (the oracle's build_status) — the partial artifact is NOT cached;
@@ -117,7 +114,7 @@ class Workspace {
   /// Cached entries always store options with deadline = nullptr — the
   /// deadline dies with the solve that carried it.
   Result<std::shared_ptr<const SketchOracle>> GetSketchOracleChecked(
-      const Graph& graph, const InfluenceParams& params,
+      const Graph& graph, const FingerprintedParams& params,
       const SketchOptions& options, const std::string& graph_token = "",
       bool* reused = nullptr);
 
@@ -254,7 +251,7 @@ class Workspace {
   struct Entry {
     // Exactly one of the two is set, matching the key's kind. Sketches
     // are held non-const so ApplyGraphDelta can patch them in place;
-    // GetSketchOracle still hands out const views.
+    // GetSketchOracleChecked still hands out const views.
     std::shared_ptr<SketchOracle> sketch;
     std::unique_ptr<SeedSelector> selector;
     uint64_t last_used = 0;
@@ -298,11 +295,31 @@ class Workspace {
   uint64_t evictions_ = 0;
 };
 
-/// Content fingerprint of the first-layer model (FNV-1a over the model
-/// kind and the probability vector) — the params component of every
+/// Content fingerprint of the first-layer model (ContentHash over the
+/// model kind and the probability vector) — the params component of every
 /// Workspace key. Exact: any parameter change changes the key and misses
-/// the cache.
+/// the cache. O(m); request paths hash through FingerprintedParams so
+/// each params vector is hashed once per request.
 uint64_t FingerprintParams(const InfluenceParams& params);
+
+/// \brief A borrowed InfluenceParams together with its FingerprintParams
+/// value, hashed exactly once, at construction.
+///
+/// The only way to obtain one is to hash the params it points at, so a
+/// fingerprint can never disagree with its params. The params must
+/// outlive this object and stay unmodified while it is in use.
+class FingerprintedParams {
+ public:
+  explicit FingerprintedParams(const InfluenceParams& params)
+      : params_(&params), fingerprint_(FingerprintParams(params)) {}
+
+  const InfluenceParams& params() const { return *params_; }
+  uint64_t fingerprint() const { return fingerprint_; }
+
+ private:
+  const InfluenceParams* params_;
+  uint64_t fingerprint_;
+};
 
 /// Content fingerprint of the opinion layer (initial opinions +
 /// interaction probabilities).
@@ -310,8 +327,8 @@ uint64_t FingerprintOpinions(const OpinionParams& opinions);
 
 /// Content fingerprint of an arbitrary double vector — the query-family
 /// request fields (node costs, target weights) folded into Workspace keys.
-/// Same FNV-1a-over-representation convention as FingerprintParams: any
-/// bit-level change misses the cache.
+/// Same ContentHash-over-representation convention as FingerprintParams:
+/// any bit-level change misses the cache.
 uint64_t FingerprintDoubles(const std::vector<double>& values);
 
 /// Content fingerprint of a node-id vector (kEvaluate/kExplain given

@@ -74,6 +74,11 @@ class Graph {
   /// Target node of edge `e`; O(1).
   NodeId EdgeTarget(EdgeId e) const { return out_targets_[e]; }
 
+  /// The raw out-CSR arrays: n+1 offsets (empty for a default-constructed
+  /// graph) and the m edge targets in EdgeId order.
+  std::span<const EdgeId> OutOffsets() const { return out_offsets_; }
+  std::span<const NodeId> OutTargets() const { return out_targets_; }
+
   /// Approximate heap footprint of the adjacency arrays, for the memory
   /// experiments (Figs. 5h, 6i, 6j, 7j).
   std::size_t MemoryFootprintBytes() const;

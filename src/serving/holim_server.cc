@@ -50,9 +50,9 @@ Status HolimServer::AddTenant(Graph graph) {
   // All three first-layer models up front: SolveRequest borrows params by
   // pointer, so they must live as long as the engine, and building them
   // here keeps Execute allocation-free on the model axis.
-  tenant->params.emplace("IC", MakeUniformIc(tenant->graph));
-  tenant->params.emplace("WC", MakeWeightedCascade(tenant->graph));
-  tenant->params.emplace("LT", MakeLinearThreshold(tenant->graph));
+  tenant->models.try_emplace("IC", MakeUniformIc(tenant->graph));
+  tenant->models.try_emplace("WC", MakeWeightedCascade(tenant->graph));
+  tenant->models.try_emplace("LT", MakeLinearThreshold(tenant->graph));
   EngineOptions engine_options;
   engine_options.max_cache_bytes = options_.max_cache_bytes;
   tenant->engine =
@@ -72,9 +72,9 @@ std::string HolimServer::ArenaKeyFor(const Tenant& tenant,
   // Mirrors HolimEngine::Solve's sketch key exactly (same fingerprint,
   // R, seed, no edge offsets, current graph token) — the affinity
   // scheduler and the coalescing counter key on the same artifact the
-  // engine will fetch.
+  // engine will fetch. The fingerprint was taken once at AddTenant.
   return SketchOracleKey(
-      FingerprintParams(tenant.params.at(request.model)),
+      tenant.models.at(request.model).fingerprinted.fingerprint(),
       options_.num_sketches, options_.seed,
       /*record_edge_offsets=*/false, tenant.engine->graph_token());
 }
@@ -134,7 +134,8 @@ HolimServer::Pending HolimServer::PopNext() {
 
 Result<ProtocolReply> HolimServer::Execute(const Pending& pending) {
   Tenant& tenant = *tenants_[pending.request.tenant];
-  const InfluenceParams& params = tenant.params.at(pending.request.model);
+  const InfluenceParams& params =
+      tenant.models.at(pending.request.model).params;
 
   SolveRequest request;
   request.algorithm = pending.request.algo;
@@ -225,11 +226,13 @@ void HolimServer::MaybePrewarm(Tenant& tenant) {
   sketch_options.num_snapshots = options_.num_sketches;
   sketch_options.seed = options_.seed;
   bool reused = false;
-  workspace.GetSketchOracle(tenant.graph,
-                            tenant.params.at(model_it->second),
-                            sketch_options, tenant.engine->graph_token(),
-                            &reused);
-  if (!reused) ++stats_.prewarms;
+  const Result<std::shared_ptr<const SketchOracle>> rebuilt =
+      workspace.GetSketchOracleChecked(
+          tenant.graph, tenant.models.at(model_it->second).fingerprinted,
+          sketch_options, tenant.engine->graph_token(), &reused);
+  // A failed rebuild is skipped, not fatal: nothing was admitted, so the
+  // ghost stays listed and a later dispatch may retry it.
+  if (rebuilt.ok() && !reused) ++stats_.prewarms;
 }
 
 std::string HolimServer::DispatchOneLine() {

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/holim_engine.h"
@@ -160,9 +161,21 @@ class HolimServer {
   HolimEngine& tenant_engine(uint32_t tenant);
 
  private:
+  /// One first-layer model of a tenant, fingerprinted once at AddTenant
+  /// (tenant params never change afterwards), so neither Submit's arena
+  /// key nor a pre-warm rebuild re-hashes the probability vector.
+  struct TenantModel {
+    explicit TenantModel(InfluenceParams p)
+        : params(std::move(p)), fingerprinted(params) {}
+    TenantModel(const TenantModel&) = delete;
+    TenantModel& operator=(const TenantModel&) = delete;
+    InfluenceParams params;
+    FingerprintedParams fingerprinted;  // borrows `params` above
+  };
+
   struct Tenant {
     Graph graph;
-    std::map<std::string, InfluenceParams> params;  // "IC"/"WC"/"LT"
+    std::map<std::string, TenantModel> models;  // "IC"/"WC"/"LT"
     std::unique_ptr<HolimEngine> engine;
     /// Reverse map: sketch-arena key -> model name, for pre-warm rebuilds.
     std::map<std::string, std::string> key_model;

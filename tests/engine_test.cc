@@ -91,7 +91,8 @@ TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
       // Direct: exactly what the factory builds, selected without any
       // engine or workspace in the loop.
       Workspace scratch_workspace;
-      SolveContext ctx{graph_, request, scratch_workspace,
+      const FingerprintedParams params(*request.params);
+      SolveContext ctx{graph_, request, params, scratch_workspace,
                        threads == 0 ? nullptr : &direct_pool};
       auto built = info->factory(ctx);
       ASSERT_TRUE(built.ok()) << built.status().ToString();

@@ -101,6 +101,7 @@ TEST_F(FaultFuzzTest, EverySiteFailureLeavesEngineUsableAndClean) {
   struct Scenario {
     const char* algorithm;
     SpreadOracle oracle;
+    QueryKind query = QueryKind::kTopK;
   };
   const Scenario scenarios[] = {
       {"celf", SpreadOracle::kSketch},
@@ -108,10 +109,16 @@ TEST_F(FaultFuzzTest, EverySiteFailureLeavesEngineUsableAndClean) {
       {"easyim", SpreadOracle::kMonteCarlo},
       {"tim+", SpreadOracle::kMonteCarlo},
       {"static-greedy", SpreadOracle::kMonteCarlo},
+      // The given-seeds endpoints fetch their arena outside any selector
+      // factory; a failed build there must be a typed error too.
+      {"celf", SpreadOracle::kSketch, QueryKind::kEvaluate},
+      {"celf", SpreadOracle::kSketch, QueryKind::kExplain},
   };
   for (const Scenario& s : scenarios) {
-    SCOPED_TRACE(s.algorithm);
-    const SolveRequest request = MakeRequest(s.algorithm, s.oracle);
+    SCOPED_TRACE(std::string(s.algorithm) + " " + QueryKindName(s.query));
+    SolveRequest request = MakeRequest(s.algorithm, s.oracle);
+    request.query = s.query;
+    if (s.query != QueryKind::kTopK) request.given_seeds = {0, 1, 2};
 
     std::vector<std::string> sites;
     {
@@ -121,6 +128,7 @@ TEST_F(FaultFuzzTest, EverySiteFailureLeavesEngineUsableAndClean) {
       ASSERT_TRUE(ok.ok()) << ok.status().ToString();
       sites = recorder.sites();
     }
+    ASSERT_FALSE(sites.empty()) << "scenario has no failure sites";
 
     for (std::size_t i = 0; i < sites.size(); ++i) {
       SCOPED_TRACE("failing hit " + std::to_string(i + 1) + " (" +

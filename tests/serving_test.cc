@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "serving/holim_server.h"
 #include "serving/protocol.h"
 #include "util/deadline.h"
+#include "util/fault_injection.h"
 
 namespace holim {
 namespace {
@@ -172,6 +174,42 @@ TEST(ServerTest, CoalescedCountsQueuedMissesServedWarm) {
   EXPECT_EQ(server.stats().served, 3u);
 }
 
+TEST(ServerTest, ServerArenaKeysAgreeWithEngineSketchKeys) {
+  // holimd fingerprints each tenant model once, at AddTenant; the engine
+  // hashes the request's params again in every Solve. Were the two keys
+  // ever to drift, a request admitted after its arena exists would look
+  // cold at admission and be miscounted as coalesced — so for every
+  // tenant and model: two queued misses cost one build (the second is
+  // coalesced), and a third request is admitted warm.
+  HolimServer server(FastOptions());
+  AddTenants(server, 2);
+  uint64_t id = 0;
+  for (uint32_t tenant = 0; tenant < 2; ++tenant) {
+    for (const std::string model : {"IC", "WC", "LT"}) {
+      SCOPED_TRACE("tenant " + std::to_string(tenant) + " " + model);
+      ASSERT_TRUE(server.Submit(Solve(++id, tenant, model)).ok());
+      ASSERT_TRUE(server.Submit(Solve(++id, tenant, model)).ok());
+      auto cold = server.DispatchNext();
+      ASSERT_TRUE(cold.ok());
+      EXPECT_FALSE(cold->warm_sketch);
+      auto coalesced = server.DispatchNext();
+      ASSERT_TRUE(coalesced.ok());
+      EXPECT_TRUE(coalesced->warm_sketch);
+      EXPECT_TRUE(coalesced->coalesced);
+
+      ASSERT_TRUE(server.Submit(Solve(++id, tenant, model)).ok());
+      auto repeated = server.DispatchNext();
+      ASSERT_TRUE(repeated.ok());
+      EXPECT_TRUE(repeated->warm_sketch);
+      EXPECT_FALSE(repeated->coalesced) << "admitted cold: keys disagree";
+    }
+  }
+  EXPECT_EQ(server.stats().sketch_builds, 6u);
+  EXPECT_EQ(server.stats().warm_sketch_hits, 12u);
+  EXPECT_EQ(server.stats().coalesced, 6u);
+  EXPECT_EQ(server.stats().served, 18u);
+}
+
 TEST(ServerTest, QueueWaitChargesAgainstTheDeadline) {
   ManualClock clock;
   ServerOptions options = FastOptions();
@@ -249,11 +287,9 @@ TEST(ServerTest, SchedulingNeverChangesResults) {
   EXPECT_EQ(optimized, baseline);
 }
 
-TEST(ServerTest, PrewarmRebuildsTheHottestGhost) {
-  // Tight per-tenant budget: the WC solve evicts the IC arena (ghosting
-  // it), then a budget raise plus further dispatches lets MaybePrewarm
-  // rebuild IC ahead of demand — so the next IC request is warm without
-  // a counted build.
+/// A one-tenant prewarm server whose budget holds one and a half IC
+/// arenas: after an IC and then a WC solve, the IC arena is a ghost.
+std::unique_ptr<HolimServer> ServerWithGhostedIcArena() {
   Graph sizing_graph = GenerateSocialGraph(150, 5.0, 100).ValueOrDie();
   const InfluenceParams sizing_params = MakeUniformIc(sizing_graph);
   SketchOptions sizing_options;
@@ -264,33 +300,78 @@ TEST(ServerTest, PrewarmRebuildsTheHottestGhost) {
   ServerOptions options = FastOptions();
   options.prewarm = true;
   options.max_cache_bytes = probe.ArenaBytes() + probe.ArenaBytes() / 2;
-  HolimServer server(options);
-  AddTenants(server, 1);
+  auto server = std::make_unique<HolimServer>(options);
+  AddTenants(*server, 1);
+  EXPECT_TRUE(server->Submit(Solve(1, 0, "IC")).ok());
+  EXPECT_TRUE(server->DispatchNext().ok());
+  EXPECT_TRUE(server->Submit(Solve(2, 0, "WC")).ok());
+  EXPECT_TRUE(server->DispatchNext().ok());
+  return server;
+}
 
-  EXPECT_TRUE(server.Submit(Solve(1, 0, "IC")).ok());
-  ASSERT_TRUE(server.DispatchNext().ok());
-  EXPECT_TRUE(server.Submit(Solve(2, 0, "WC")).ok());
-  ASSERT_TRUE(server.DispatchNext().ok());
-  Workspace& workspace = server.tenant_engine(0).workspace();
+bool HasSketchGhost(const Workspace& workspace) {
+  for (const auto& [key, ghost] : workspace.ghosts()) {
+    if (key.rfind("sketch|", 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(ServerTest, PrewarmRebuildsTheHottestGhost) {
+  // Tight per-tenant budget: the WC solve evicts the IC arena (ghosting
+  // it), then a budget raise plus further dispatches lets MaybePrewarm
+  // rebuild IC ahead of demand — so the next IC request is warm without
+  // a counted build.
+  std::unique_ptr<HolimServer> server = ServerWithGhostedIcArena();
+  Workspace& workspace = server->tenant_engine(0).workspace();
   ASSERT_FALSE(workspace.ghosts().empty()) << "budget never forced a ghost";
-  EXPECT_EQ(server.stats().prewarms, 0u);  // no headroom while tight
+  EXPECT_EQ(server->stats().prewarms, 0u);  // no headroom while tight
 
   // Budget freed: the next dispatches pre-warm the ghosted IC arena (the
   // first MaybePrewarm may spend its turn forgetting an unbuildable
   // selector ghost, so allow a couple of dispatches).
   workspace.set_max_bytes(0);
-  for (uint64_t id = 3; id < 6 && server.stats().prewarms == 0; ++id) {
-    EXPECT_TRUE(server.Submit(Solve(id, 0, "WC")).ok());
-    ASSERT_TRUE(server.DispatchNext().ok());
+  for (uint64_t id = 3; id < 6 && server->stats().prewarms == 0; ++id) {
+    EXPECT_TRUE(server->Submit(Solve(id, 0, "WC")).ok());
+    ASSERT_TRUE(server->DispatchNext().ok());
   }
-  EXPECT_GE(server.stats().prewarms, 1u);
+  EXPECT_GE(server->stats().prewarms, 1u);
 
-  const uint64_t builds_before = server.stats().sketch_builds;
-  EXPECT_TRUE(server.Submit(Solve(9, 0, "IC")).ok());
-  auto warmed = server.DispatchNext();
+  const uint64_t builds_before = server->stats().sketch_builds;
+  EXPECT_TRUE(server->Submit(Solve(9, 0, "IC")).ok());
+  auto warmed = server->DispatchNext();
   ASSERT_TRUE(warmed.ok());
   EXPECT_TRUE(warmed->warm_sketch);
-  EXPECT_EQ(server.stats().sketch_builds, builds_before);
+  EXPECT_EQ(server->stats().sketch_builds, builds_before);
+}
+
+TEST(ServerTest, FailedPrewarmIsSkippedAndKeepsItsGhost) {
+  // A pre-warm whose arena build fails (here: an injected fault at the
+  // Workspace's sketch site) must neither crash the server nor fail the
+  // dispatch that triggered it; the ghost stays, and a later dispatch
+  // retries it successfully.
+  std::unique_ptr<HolimServer> server = ServerWithGhostedIcArena();
+  Workspace& workspace = server->tenant_engine(0).workspace();
+  ASSERT_TRUE(HasSketchGhost(workspace));
+  workspace.set_max_bytes(0);
+  uint64_t id = 3;
+  {
+    ScopedFaultInjection fault("workspace/sketch", 1);
+    for (; id < 6 && !fault.fired(); ++id) {
+      EXPECT_TRUE(server->Submit(Solve(id, 0, "WC")).ok());
+      auto reply = server->DispatchNext();
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_TRUE(reply->warm_sketch);
+    }
+    ASSERT_TRUE(fault.fired()) << "no pre-warm reached the sketch build";
+  }
+  EXPECT_EQ(server->stats().prewarms, 0u);
+  EXPECT_EQ(server->stats().failed, 0u);
+  EXPECT_TRUE(HasSketchGhost(workspace));
+
+  EXPECT_TRUE(server->Submit(Solve(id, 0, "WC")).ok());
+  ASSERT_TRUE(server->DispatchNext().ok());
+  EXPECT_EQ(server->stats().prewarms, 1u);
+  EXPECT_FALSE(HasSketchGhost(workspace));
 }
 
 TEST(ServerTest, PipeModeIsByteDeterministic) {

@@ -420,13 +420,17 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   const Graph base = TestGraph(80, 6);
   const auto params = MakeUniformIc(base, 0.1);
   const auto other = MakeUniformIc(base, 0.2);
+  const FingerprintedParams keyed(params);
+  const FingerprintedParams other_keyed(other);
   Workspace workspace;
-  workspace.GetSketchOracle(base, params, Opts(32, 1));
-  workspace.GetSketchOracle(base, params, Opts(32, 2));  // second seed
-  workspace.GetSketchOracle(base, other, Opts(32, 1));   // other fingerprint
+  workspace.GetSketchOracleChecked(base, keyed, Opts(32, 1)).ValueOrDie();
+  workspace.GetSketchOracleChecked(base, keyed, Opts(32, 2))  // second seed
+      .ValueOrDie();
+  workspace.GetSketchOracleChecked(base, other_keyed, Opts(32, 1))
+      .ValueOrDie();  // other fingerprint
   ASSERT_EQ(workspace.num_artifacts(), 3u);
 
-  const uint64_t fp = FingerprintParams(params);
+  const uint64_t fp = keyed.fingerprint();
   const auto stats = workspace.ApplyGraphDelta(
       fp, fp, "g=7@1", [&](SketchOracle& sketch) {
         return sketch.ApplyDelta(base, params);  // no-op patch (same graph)
@@ -437,9 +441,11 @@ TEST(WorkspaceDeltaTest, ApplyGraphDeltaPatchesMatchingSketchesOnly) {
   // The survivors moved to token-carrying keys: a token-less lookup
   // misses (builds fresh), a token lookup hits.
   bool reused = false;
-  workspace.GetSketchOracle(base, params, Opts(32, 1), "g=7@1", &reused);
+  workspace.GetSketchOracleChecked(base, keyed, Opts(32, 1), "g=7@1", &reused)
+      .ValueOrDie();
   EXPECT_TRUE(reused);
-  workspace.GetSketchOracle(base, params, Opts(32, 2), "g=7@1", &reused);
+  workspace.GetSketchOracleChecked(base, keyed, Opts(32, 2), "g=7@1", &reused)
+      .ValueOrDie();
   EXPECT_TRUE(reused);
 }
 
