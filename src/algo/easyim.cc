@@ -12,14 +12,9 @@ EasyImScorer::EasyImScorer(const Graph& graph, const InfluenceParams& params,
 }
 
 void EasyImScorer::AssignScores(const EpochSet& excluded,
-                                std::vector<double>* scores) {
-  engine_.FullSweep(excluded, scores);
-}
-
-void EasyImScorer::AssignScoresParallel(const EpochSet& excluded,
-                                        std::vector<double>* scores,
-                                        ThreadPool* pool) {
-  engine_.FullSweep(excluded, scores, pool ? pool : &DefaultThreadPool());
+                                std::vector<double>* scores,
+                                ThreadPool* pool) {
+  engine_.FullSweep(excluded, scores, pool);
 }
 
 void EasyImScorer::AssignScoresIncremental(

@@ -65,15 +65,12 @@ class EasyImScorer {
   /// Computes Delta_l for every node into `scores` (resized to n).
   /// Nodes in `excluded` are removed from the graph for this computation
   /// (their score is set to -infinity so they are never re-picked).
-  void AssignScores(const EpochSet& excluded, std::vector<double>* scores);
-
-  /// Parallel score assignment: each of the l sweeps is a data-parallel
-  /// pass in fixed node blocks (reads prev buffer, writes cur), so sharding
-  /// is race-free and bitwise-identical to the serial pass for any thread
-  /// count. Pass nullptr to use the process default pool.
-  void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores,
-                            ThreadPool* pool = nullptr);
+  /// `pool == nullptr` runs serially; with a pool each of the l sweeps is a
+  /// data-parallel pass in fixed node blocks (reads prev buffer, writes
+  /// cur), so sharding is race-free and bitwise-identical to the serial
+  /// pass for any thread count.
+  void AssignScores(const EpochSet& excluded, std::vector<double>* scores,
+                    ThreadPool* pool = nullptr);
 
   /// Incremental score assignment across greedy rounds: `newly_excluded`
   /// must list exactly the nodes added to `excluded` since the previous

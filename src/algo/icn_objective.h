@@ -22,6 +22,9 @@ namespace holim {
 /// plugging this objective into GreedySelector/CelfSelector yields the
 /// classical (1-1/e)-approximate algorithm for that model. Benchmarks use
 /// it as the IC-N selection strategy when comparing opinion-aware models.
+/// The Monte-Carlo evaluation, EstimateIcnPositiveSpread, lives with the
+/// other estimators in diffusion/spread_estimator.h and shares their
+/// thread-count-invariant sharding.
 class IcnPositiveSpreadObjective : public McObjective {
  public:
   /// With a non-null `sketch` the objective evaluates over the oracle's
@@ -45,13 +48,6 @@ class IcnPositiveSpreadObjective : public McObjective {
   McOptions options_;
   std::shared_ptr<const SketchOracle> sketch_;
 };
-
-/// Monte-Carlo estimate of the expected positive spread under IC-N.
-double EstimateIcnPositiveSpread(const Graph& graph,
-                                 const InfluenceParams& params,
-                                 double quality_factor,
-                                 const std::vector<NodeId>& seeds,
-                                 const McOptions& options = {});
 
 }  // namespace holim
 

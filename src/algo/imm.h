@@ -21,7 +21,7 @@ struct ImmOptions {
   /// the round actually appends sets, so the seed a given round generates
   /// with does not depend on where max_theta capped an earlier round.
   std::size_t max_theta = 0;
-  /// Pool for sharded RR-set generation (nullptr -> DefaultThreadPool()).
+  /// Pool for sharded RR-set generation (nullptr runs serially).
   /// Selected seeds are identical for every pool size (see rr_sets.h).
   ThreadPool* pool = nullptr;
 };

@@ -13,14 +13,9 @@ OsimScorer::OsimScorer(const Graph& graph, const InfluenceParams& influence,
 }
 
 void OsimScorer::AssignScores(const EpochSet& excluded,
-                              std::vector<double>* scores) {
-  engine_.FullSweep(excluded, scores);
-}
-
-void OsimScorer::AssignScoresParallel(const EpochSet& excluded,
-                                      std::vector<double>* scores,
-                                      ThreadPool* pool) {
-  engine_.FullSweep(excluded, scores, pool ? pool : &DefaultThreadPool());
+                              std::vector<double>* scores,
+                              ThreadPool* pool) {
+  engine_.FullSweep(excluded, scores, pool);
 }
 
 void OsimScorer::AssignScoresIncremental(

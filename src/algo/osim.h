@@ -79,14 +79,11 @@ class OsimScorer {
              const OpinionParams& opinions, uint32_t l);
 
   /// Computes Delta_l for every node into `scores`. Excluded nodes are
-  /// removed from the graph and get -infinity.
-  void AssignScores(const EpochSet& excluded, std::vector<double>* scores);
-
-  /// Parallel variant: fixed-node-block sharding, bitwise-identical to the
-  /// serial result for any thread count.
-  void AssignScoresParallel(const EpochSet& excluded,
-                            std::vector<double>* scores,
-                            ThreadPool* pool = nullptr);
+  /// removed from the graph and get -infinity. `pool == nullptr` runs
+  /// serially; a pool shards in fixed node blocks, bitwise-identical to
+  /// the serial result for any thread count.
+  void AssignScores(const EpochSet& excluded, std::vector<double>* scores,
+                    ThreadPool* pool = nullptr);
 
   /// Incremental variant across greedy rounds; see
   /// EasyImScorer::AssignScoresIncremental for the contract (nullptr pool

@@ -99,7 +99,8 @@ Status RrCollection::GenerateParallel(std::size_t count, uint64_t seed,
                                       ThreadPool* pool, Deadline* deadline) {
   if (count == 0) return Status::OK();
   records_.push_back({num_sets(), count, seed});
-  ThreadPool& p = pool ? *pool : DefaultThreadPool();
+  ThreadPool serial(1);
+  ThreadPool& p = pool ? *pool : serial;
   const std::size_t num_blocks =
       (count + kGenerateBlockSize - 1) / kGenerateBlockSize;
 

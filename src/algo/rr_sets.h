@@ -147,8 +147,8 @@ class RrCollection {
   /// the new sets.
   void Generate(std::size_t count, Rng& rng);
 
-  /// Appends `count` RR sets sharded across `pool` (nullptr selects
-  /// DefaultThreadPool()) under the RNG-sharding contract above, indexing
+  /// Appends `count` RR sets sharded across `pool` (nullptr runs serially)
+  /// under the RNG-sharding contract above, indexing
   /// the new sets from shard-local partial counts. Output (arena and
   /// index) is independent of the pool's thread count.
   ///

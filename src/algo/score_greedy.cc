@@ -215,8 +215,8 @@ ScoreGreedy::SimulateFn MakeLtSimulateFn(const Graph& graph,
 }
 
 /// The shared per-round dispatch of EaSyIM/OSIM onto their scorer:
-/// incremental rescore when enabled, else the parallel or serial full
-/// sweep. One definition so the two selectors cannot diverge.
+/// incremental rescore when enabled, else the full sweep. One definition
+/// so the two selectors cannot diverge.
 template <typename Scorer>
 ScoreGreedy::IncrementalScoreFn MakeSweepScoreFn(
     Scorer& scorer, const ScoreGreedyOptions& options) {
@@ -225,10 +225,8 @@ ScoreGreedy::IncrementalScoreFn MakeSweepScoreFn(
                             std::vector<double>* scores) {
     if (options.incremental_rescore) {
       scorer.AssignScoresIncremental(excluded, newly, scores, options.pool);
-    } else if (options.pool != nullptr) {
-      scorer.AssignScoresParallel(excluded, scores, options.pool);
     } else {
-      scorer.AssignScores(excluded, scores);
+      scorer.AssignScores(excluded, scores, options.pool);
     }
   };
 }

@@ -44,8 +44,8 @@ struct ScoreGreedyOptions {
   /// instead of a full O(l(m+n)) recompute. Bitwise-identical seed sets
   /// either way (the full recompute stays available as the oracle path).
   /// Off by default so the paper's O(n)-space contract — and the memory
-  /// figures that reproduce it — hold unless explicitly traded away;
-  /// holim_cli defaults its --rescore flag to incremental, the
+  /// figures that reproduce it — hold unless explicitly traded away.
+  /// HolimEngine (SolveRequest) and holim_cli default to incremental, the
   /// time-figure benches to full (paper methodology).
   bool incremental_rescore = false;
   /// Hub-aware fallback for the incremental rescore: when a dirty frontier

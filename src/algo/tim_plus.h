@@ -19,7 +19,7 @@ struct TimPlusOptions {
   /// Safety cap on theta so a mis-parameterized run cannot OOM the host;
   /// 0 disables. When the cap binds, the run records `theta_capped`.
   std::size_t max_theta = 0;
-  /// Pool for sharded RR-set generation (nullptr -> DefaultThreadPool()).
+  /// Pool for sharded RR-set generation (nullptr runs serially).
   /// Selected seeds are identical for every pool size (see rr_sets.h).
   ThreadPool* pool = nullptr;
 };

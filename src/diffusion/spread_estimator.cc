@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 
+#include "diffusion/icn_model.h"
 #include "diffusion/independent_cascade.h"
 #include "diffusion/linear_threshold.h"
 #include "diffusion/oc_model.h"
@@ -43,7 +44,8 @@ std::vector<double> RunSharded(const McOptions& options,
   std::vector<double> total(num_metrics, 0.0);
   const uint32_t sims = options.num_simulations;
   if (sims == 0) return total;
-  ThreadPool& pool = options.pool ? *options.pool : DefaultThreadPool();
+  ThreadPool serial(1);
+  ThreadPool& pool = options.pool ? *options.pool : serial;
   const std::size_t num_blocks = (sims + kMcBlockSize - 1) / kMcBlockSize;
   std::vector<double> partial(num_blocks * num_metrics, 0.0);
   pool.ParallelForBlocks(
@@ -109,6 +111,23 @@ OpinionSpreadEstimate EstimateOpinionSpread(
   estimate.effective_opinion_spread = result[1];
   estimate.plain_spread = result[2];
   return estimate;
+}
+
+double EstimateIcnPositiveSpread(const Graph& graph,
+                                 const InfluenceParams& params,
+                                 double quality_factor,
+                                 const std::vector<NodeId>& seeds,
+                                 const McOptions& options) {
+  if (seeds.empty()) return 0.0;
+  auto result = RunSharded(options, 1, [&](uint32_t lo, uint32_t hi,
+                                           double* acc) {
+    IcnSimulator sim(graph, params, quality_factor);
+    for (uint32_t i = lo; i < hi; ++i) {
+      Rng rng = McSimulationRng(options.seed, i);
+      acc[0] += static_cast<double>(sim.Run(seeds, rng).PositiveSpread());
+    }
+  });
+  return result[0];
 }
 
 double EstimateOcOpinionSpread(const Graph& graph,

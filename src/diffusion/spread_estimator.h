@@ -22,7 +22,7 @@ namespace holim {
 struct McOptions {
   uint32_t num_simulations = 1000;  // the paper uses 10K; configurable
   uint64_t seed = 42;
-  ThreadPool* pool = nullptr;  // nullptr -> DefaultThreadPool()
+  ThreadPool* pool = nullptr;  // nullptr runs serially
   /// Cooperative stop poll (borrowed; may be null). Blocks whose start
   /// observes StopRequested() are skipped, leaving their partials zero —
   /// the caller (a deadline-aware selector) discards the estimate of a
@@ -49,6 +49,14 @@ OpinionSpreadEstimate EstimateOpinionSpread(
     const OpinionParams& opinions, OiBase base,
     const std::vector<NodeId>& seeds, double lambda,
     const McOptions& options = {});
+
+/// Expected *positive* spread under IC-N (Chen et al., SDM'11) with the
+/// given quality factor; see algo/icn_objective.h for the objective.
+double EstimateIcnPositiveSpread(const Graph& graph,
+                                 const InfluenceParams& params,
+                                 double quality_factor,
+                                 const std::vector<NodeId>& seeds,
+                                 const McOptions& options = {});
 
 /// Expected opinion spread under OC (LT first layer, phi ≡ 1).
 double EstimateOcOpinionSpread(const Graph& graph,

@@ -164,9 +164,12 @@ struct SolveRequest {
   uint32_t num_snapshots = 100;
 
   /// EaSyIM/OSIM: dirty-frontier incremental rescore between greedy rounds
-  /// instead of the paper's full O(l(m+n)) recompute. Seeds are bitwise
-  /// identical either way.
-  bool incremental_rescore = false;
+  /// (the default, matching holim_cli) instead of the paper's full
+  /// O(l(m+n)) recompute in every round. Seeds and scores are bitwise
+  /// identical either way; the incremental path keeps an O(l n) level
+  /// table in the cached selector, counted in the Workspace footprint.
+  /// Set false for the paper's O(n)-space oracle path.
+  bool incremental_rescore = true;
   /// Worker threads for the sharded kernels (0 = serial). Every parallel
   /// path in the repo is bitwise thread-count-invariant, so this never
   /// changes results — it is still part of the selector cache key so a

@@ -1,7 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <numeric>
+#include <ranges>
 
 namespace holim {
 
@@ -13,13 +13,28 @@ Result<Graph> GraphBuilder::Build() && {
     }
   }
 
-  // Sort edges by (src, dst) via index permutation to define stable EdgeIds.
-  std::vector<uint64_t> order(srcs_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
+  // EdgeIds follow (src, dst) order. Bundles and generators already emit
+  // edges in that order, so an O(m) check skips the O(m log m) sort; other
+  // input is sorted in place first, leaving one build loop.
+  const auto ids = std::views::iota(std::size_t{0}, srcs_.size());
+  const bool sorted = std::ranges::is_sorted(ids, [&](std::size_t a,
+                                                     std::size_t b) {
     if (srcs_[a] != srcs_[b]) return srcs_[a] < srcs_[b];
     return dsts_[a] < dsts_[b];
   });
+  if (!sorted) {
+    // (src << 32 | dst) orders exactly as the (src, dst) pair.
+    static_assert(sizeof(NodeId) == 4);
+    std::vector<uint64_t> keys(srcs_.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = uint64_t{srcs_[i]} << 32 | dsts_[i];
+    }
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      srcs_[i] = static_cast<NodeId>(keys[i] >> 32);
+      dsts_[i] = static_cast<NodeId>(keys[i]);
+    }
+  }
 
   Graph g;
   g.n_ = n_;
@@ -28,9 +43,9 @@ Result<Graph> GraphBuilder::Build() && {
 
   NodeId prev_src = kInvalidNode;
   NodeId prev_dst = kInvalidNode;
-  for (uint64_t idx : order) {
-    const NodeId s = srcs_[idx];
-    const NodeId d = dsts_[idx];
+  for (std::size_t i = 0; i < srcs_.size(); ++i) {
+    const NodeId s = srcs_[i];
+    const NodeId d = dsts_[i];
     if (dedup_) {
       if (s == d) continue;  // drop self loops
       if (s == prev_src && d == prev_dst) continue;  // drop duplicates

@@ -14,11 +14,24 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit value.
-  uint64_t Next64();
+  /// Next raw 64-bit value. Inline with NextDouble and SplitMix64: the
+  /// IC cascade, RR sampling and sketch row streams call them per edge.
+  uint64_t Next64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double NextDouble() {
+    return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -36,9 +49,18 @@ class Rng {
   Rng Split(uint64_t salt);
 
   /// SplitMix64 hash step; exposed for seed derivation elsewhere.
-  static uint64_t SplitMix64(uint64_t& state);
+  static uint64_t SplitMix64(uint64_t& state) {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_gauss_ = false;
   double gauss_ = 0.0;

@@ -90,9 +90,4 @@ void ThreadPool::ParallelForBlocks(
   done_cv.wait(lock, [&] { return done == launched; });
 }
 
-ThreadPool& DefaultThreadPool() {
-  static ThreadPool* pool = new ThreadPool();
-  return *pool;
-}
-
 }  // namespace holim

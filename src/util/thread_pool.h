@@ -17,6 +17,11 @@ namespace holim {
 /// Tasks are plain std::function<void()>; `ParallelFor` blocks until all
 /// chunks complete. With `num_threads == 1` work runs inline on the calling
 /// thread, which keeps single-core runs free of synchronization overhead.
+///
+/// Kernels take an optional `ThreadPool*`; nullptr always means serial on
+/// the calling thread (there is no process-wide default pool). Sites that
+/// need a pool object for the serial case use a local `ThreadPool(1)`,
+/// which starts no threads.
 class ThreadPool {
  public:
   /// `num_threads == 0` selects std::thread::hardware_concurrency().
@@ -52,10 +57,6 @@ class ThreadPool {
   std::condition_variable cv_;
   bool shutdown_ = false;
 };
-
-/// Process-wide default pool (lazily constructed, never destroyed — trivially
-/// safe at exit per the style guide's static-storage rules).
-ThreadPool& DefaultThreadPool();
 
 }  // namespace holim
 

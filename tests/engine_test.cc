@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/score_greedy.h"
 #include "engine/holim_engine.h"
 #include "graph/generators.h"
 #include "model/influence_params.h"
@@ -127,6 +128,69 @@ TEST_F(EngineTest, SolveMatchesDirectCallColdWarmAndAcrossThreads) {
   }
   // Every parallel path is bitwise thread-count-invariant.
   EXPECT_EQ(seeds_by_threads[0], seeds_by_threads[1]);
+}
+
+// The engine defaults to the dirty-frontier rescore. For EaSyIM and OSIM
+// under IC/WC/LT, on an Erdos-Renyi graph and on a BA graph whose hub
+// exclusions trip the 0.25 full-rebuild fallback, the default solve and an
+// incremental_rescore=false solve return bitwise-equal seeds and scores,
+// from two distinct cached selectors.
+TEST_F(EngineTest, DefaultIncrementalRescoreMatchesFullRecompute) {
+  const Graph er = GenerateErdosRenyi(400, 4.0, 12).ValueOrDie();
+  const Graph ba = GenerateBarabasiAlbert(400, 3, 13).ValueOrDie();
+  {
+    const InfluenceParams ic = MakeUniformIc(ba, 0.1);
+    ScoreGreedyOptions options;
+    options.incremental_rescore = true;
+    ASSERT_EQ(options.rescore_fallback_fraction, 0.25);
+    EasyImSelector selector(ba, ic, 3, options);
+    ASSERT_TRUE(selector.Select(10).ok());
+    ASSERT_GE(selector.scorer().stats().fallback_sweeps, 1u)
+        << "the BA case must exercise the hub-aware fallback";
+  }
+  EXPECT_TRUE(SolveRequest{}.incremental_rescore);
+
+  for (const Graph* graph : {&er, &ba}) {
+    const OpinionParams opinions = MakeRandomOpinions(
+        *graph, OpinionDistribution::kStandardNormal, 8);
+    for (const char* model : {"IC", "WC", "LT"}) {
+      const std::string m = model;
+      const InfluenceParams params =
+          m == "IC"   ? MakeUniformIc(*graph, 0.1)
+          : m == "WC" ? MakeWeightedCascade(*graph)
+                      : MakeLinearThreshold(*graph);
+      for (const char* algorithm : {"easyim", "osim"}) {
+        SCOPED_TRACE(std::string(algorithm) + " " + m +
+                     (graph == &er ? " ER" : " BA"));
+        HolimEngine engine(*graph);
+        SolveRequest incremental;
+        incremental.algorithm = algorithm;
+        incremental.k = 10;
+        incremental.l = 3;
+        incremental.params = &params;
+        incremental.evaluate_spread = false;
+        if (incremental.algorithm == "osim") {
+          incremental.opinions = &opinions;
+          incremental.oi_base = m == "LT" ? OiBase::kLinearThreshold
+                                          : OiBase::kIndependentCascade;
+        }
+        SolveRequest full = incremental;
+        full.incremental_rescore = false;
+
+        auto inc = engine.Solve(incremental);
+        ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+        auto ref = engine.Solve(full);
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        EXPECT_FALSE(ref->warm_selector);
+        EXPECT_EQ(engine.workspace().num_artifacts(), 2u);
+        ASSERT_EQ(inc->seeds.size(), 10u);
+        EXPECT_EQ(inc->seeds, ref->seeds);
+        EXPECT_EQ(inc->seed_scores, ref->seed_scores);
+        // The incremental selector holds its O(l n) level table.
+        EXPECT_GT(inc->scratch_bytes, ref->scratch_bytes);
+      }
+    }
+  }
 }
 
 TEST_F(EngineTest, SketchOracleSolvesAreWarmAfterFirstAndShared) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
@@ -47,6 +50,64 @@ TEST(GraphBuilderTest, DeduplicatesParallelEdgesAndSelfLoops) {
   b.AddEdge(1, 2);
   Graph g = std::move(b).Build().ValueOrDie();
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+/// Every CSR array a build produces, for whole-graph equality checks.
+struct CsrArrays {
+  std::vector<EdgeId> out_offsets;
+  std::vector<NodeId> out_targets;
+  std::vector<NodeId> in_sources;
+  std::vector<EdgeId> in_edge_ids;
+  bool operator==(const CsrArrays&) const = default;
+};
+
+CsrArrays Arrays(const Graph& g) {
+  CsrArrays a;
+  a.out_offsets.assign(g.OutOffsets().begin(), g.OutOffsets().end());
+  a.out_targets.assign(g.OutTargets().begin(), g.OutTargets().end());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    a.in_sources.insert(a.in_sources.end(), g.InNeighbors(v).begin(),
+                        g.InNeighbors(v).end());
+    a.in_edge_ids.insert(a.in_edge_ids.end(), g.InEdgeIds(v).begin(),
+                         g.InEdgeIds(v).end());
+  }
+  return a;
+}
+
+// Build skips its sort when the input is already in (src, dst) order; the
+// sorted, reversed and shuffled orders of one edge multiset (duplicates
+// and self-loops included) must still build identical CSR arrays and
+// EdgeIds, with dedup on and off.
+TEST(GraphBuilderTest, InputOrderDoesNotChangeCsr) {
+  std::vector<std::pair<NodeId, NodeId>> edges = {
+      {0, 1}, {0, 1}, {0, 3}, {1, 1}, {1, 2}, {2, 0}, {2, 4},
+      {3, 3}, {3, 4}, {4, 0}, {4, 2}, {4, 2}, {5, 0}, {5, 5}};
+  ASSERT_TRUE(std::is_sorted(edges.begin(), edges.end()));
+  std::vector<std::pair<NodeId, NodeId>> reversed(edges.rbegin(),
+                                                  edges.rend());
+  std::vector<std::pair<NodeId, NodeId>> shuffled = edges;
+  std::mt19937 gen(3);
+  std::shuffle(shuffled.begin(), shuffled.end(), gen);
+  ASSERT_NE(shuffled, edges);
+
+  for (const bool dedup : {true, false}) {
+    SCOPED_TRACE(dedup ? "dedup" : "no dedup");
+    auto build = [&](const std::vector<std::pair<NodeId, NodeId>>& order) {
+      GraphBuilder b(6);
+      b.set_deduplicate(dedup);
+      for (const auto& [u, v] : order) b.AddEdge(u, v);
+      return std::move(b).Build().ValueOrDie();
+    };
+    const Graph sorted = build(edges);
+    EXPECT_EQ(sorted.num_edges(), dedup ? 9u : edges.size());
+    for (EdgeId e = 1; e < sorted.num_edges(); ++e) {
+      EXPECT_LE(std::make_pair(sorted.EdgeSource(e - 1),
+                               sorted.EdgeTarget(e - 1)),
+                std::make_pair(sorted.EdgeSource(e), sorted.EdgeTarget(e)));
+    }
+    EXPECT_EQ(Arrays(build(reversed)), Arrays(sorted));
+    EXPECT_EQ(Arrays(build(shuffled)), Arrays(sorted));
+  }
 }
 
 TEST(GraphBuilderTest, KeepsDuplicatesWhenDisabled) {

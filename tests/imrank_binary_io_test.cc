@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "algo/imrank.h"
 #include "diffusion/spread_estimator.h"
@@ -107,6 +110,54 @@ TEST(BinaryIoTest, RoundTripWithParameters) {
     EXPECT_DOUBLE_EQ(bundle.node_opinion[u], opinions.opinion[u]);
   }
   std::remove(path.c_str());
+}
+
+/// Writes a graph-only bundle by hand: magic, node count, then the source
+/// and target arrays exactly as given (in any order), and three absent
+/// parameter flags.
+void WriteRawBundle(const std::string& path, uint64_t n,
+                    const std::vector<NodeId>& sources,
+                    const std::vector<NodeId>& targets) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t magic = 0x484F4C494D470101ULL;
+  fwrite(&magic, sizeof(magic), 1, f);
+  fwrite(&n, sizeof(n), 1, f);
+  for (const auto* array : {&sources, &targets}) {
+    const uint64_t count = array->size();
+    fwrite(&count, sizeof(count), 1, f);
+    fwrite(array->data(), sizeof(NodeId), count, f);
+  }
+  const uint8_t absent = 0;
+  for (int i = 0; i < 3; ++i) fwrite(&absent, 1, 1, f);
+  fclose(f);
+}
+
+// WriteGraphBundle always stores edges in (src, dst) order, which lets the
+// loader skip its sort; a bundle whose edge arrays are out of order must
+// still load into the same graph as its sorted twin.
+TEST(BinaryIoTest, UnsortedEdgeArraysLoadLikeSortedTwin) {
+  const std::string sorted_path = "/tmp/holim_bundle_sorted.bin";
+  const std::string unsorted_path = "/tmp/holim_bundle_unsorted.bin";
+  WriteRawBundle(sorted_path, 4, {0, 0, 1, 2, 3, 3}, {1, 2, 2, 0, 0, 1});
+  WriteRawBundle(unsorted_path, 4, {3, 1, 0, 3, 2, 0}, {1, 2, 2, 0, 0, 1});
+  const Graph sorted = ReadGraphBundle(sorted_path).ValueOrDie().graph;
+  const Graph unsorted = ReadGraphBundle(unsorted_path).ValueOrDie().graph;
+  ASSERT_EQ(sorted.num_edges(), 6u);
+  ASSERT_EQ(unsorted.num_edges(), 6u);
+  EXPECT_TRUE(std::ranges::equal(unsorted.OutOffsets(), sorted.OutOffsets()));
+  EXPECT_TRUE(std::ranges::equal(unsorted.OutTargets(), sorted.OutTargets()));
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_TRUE(std::ranges::equal(unsorted.InNeighbors(v),
+                                   sorted.InNeighbors(v)));
+    EXPECT_TRUE(std::ranges::equal(unsorted.InEdgeIds(v),
+                                   sorted.InEdgeIds(v)));
+  }
+  for (EdgeId e = 0; e < 6; ++e) {
+    EXPECT_EQ(unsorted.EdgeSource(e), sorted.EdgeSource(e));
+  }
+  std::remove(sorted_path.c_str());
+  std::remove(unsorted_path.c_str());
 }
 
 TEST(BinaryIoTest, RejectsBadMagic) {

@@ -108,6 +108,25 @@ TEST(SpreadEstimatorTest, OpinionSpreadBitwiseEqualAcrossThreadCounts) {
   EXPECT_EQ(one.plain_spread, eight.plain_spread);
 }
 
+// IC-N shares the fixed-block sharding, so its estimate is the same for a
+// null pool (serial) and for 1, 2 or 8 threads.
+TEST(SpreadEstimatorTest, IcnPositiveSpreadBitwiseEqualAcrossThreadCounts) {
+  Graph g = GenerateBarabasiAlbert(300, 3, 23).ValueOrDie();
+  auto params = MakeUniformIc(g, 0.1);
+  const std::vector<NodeId> seeds = {0, 1, 2, 3, 4};
+  McOptions mc;
+  mc.num_simulations = 700;  // several kMcBlockSize blocks
+  mc.seed = 5;
+  const double serial = EstimateIcnPositiveSpread(g, params, 0.8, seeds, mc);
+  EXPECT_GT(serial, 0.0);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    mc.pool = &pool;
+    EXPECT_EQ(EstimateIcnPositiveSpread(g, params, 0.8, seeds, mc), serial)
+        << threads << " threads";
+  }
+}
+
 TEST(SpreadEstimatorTest, MonotoneInSeedSetSize) {
   GraphBuilder b(6);
   for (NodeId u = 0; u < 5; ++u) b.AddEdge(u, u + 1);

@@ -264,6 +264,43 @@ TEST(RngTest, SplitProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+// Golden values: the exact xoshiro256** / SplitMix64 streams for seed 12345.
+// Seeds, sketches, RR arenas and MC estimates all derive from these
+// streams, so a change here silently changes every result in the repo.
+TEST(RngTest, StreamsMatchGoldenValues) {
+  Rng next(12345);
+  EXPECT_EQ(next.Next64(), 0xbe6a36374160d49bULL);
+  EXPECT_EQ(next.Next64(), 0x214aaa0637a688c6ULL);
+  EXPECT_EQ(next.Next64(), 0xf69d16de9954d388ULL);
+
+  Rng doubles(12345);
+  EXPECT_EQ(doubles.NextDouble(), 0x1.7cd46c6e82c1ap-1);
+  EXPECT_EQ(doubles.NextDouble(), 0x1.0a555031bd344p-3);
+  EXPECT_EQ(doubles.NextDouble(), 0x1.ed3a2dbd32a9ap-1);
+
+  uint64_t state = 12345;
+  EXPECT_EQ(Rng::SplitMix64(state), 0x22118258a9d111a0ULL);
+  EXPECT_EQ(state, 0x9e3779b97f4aac4eULL);
+  EXPECT_EQ(Rng::SplitMix64(state), 0x346edce5f713f8edULL);
+  EXPECT_EQ(Rng::SplitMix64(state), 0x1e9a57bc80e6721dULL);
+
+  Rng bounded(12345);
+  EXPECT_EQ(bounded.NextBounded(1000), 743u);
+  EXPECT_EQ(bounded.NextBounded(1000), 130u);
+  EXPECT_EQ(bounded.NextBounded(1000), 963u);
+
+  Rng gauss(12345);
+  EXPECT_EQ(gauss.NextGaussian(), 0x1.0d9379b84ce8ep-1);
+  EXPECT_EQ(gauss.NextGaussian(), 0x1.1f3be780a7479p-1);
+  EXPECT_EQ(gauss.NextGaussian(), 0x1.0b1416153b99p-2);
+
+  Rng parent(12345);
+  Rng child = parent.Split(1);
+  EXPECT_EQ(child.Next64(), 0x7c84f86c2f42705cULL);
+  EXPECT_EQ(child.Next64(), 0xab70c5d99be6c208ULL);
+  EXPECT_EQ(parent.Next64(), 0x214aaa0637a688c6ULL);  // Split drew one value
+}
+
 TEST(RngTest, BernoulliFrequencyTracksP) {
   Rng rng(23);
   int hits = 0;
