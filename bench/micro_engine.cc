@@ -4,7 +4,7 @@
 // so each query resamples its sketch-oracle worlds and rebuilds selector
 // state) versus WARM (one shared Workspace across the batch, so the
 // arena is sampled once and reused). Emits BENCH_engine.json; the CI
-// bench-gate (tools/check_bench_regression.py, "engine" dispatch) fails
+// bench-gate (tools/check_bench_regression.py, "engine" table entry) fails
 // the job when the batch speedup or the deterministic workspace footprint
 // regresses against the committed baseline.
 //

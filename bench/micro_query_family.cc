@@ -1,7 +1,7 @@
 // Query-family microbenchmark: the four non-topk query kinds solved
 // through HolimEngine on one prepared BA/WC graph, emitting
 // BENCH_query.json for the CI bench-gate (tools/check_bench_regression.py,
-// "query_family" dispatch).
+// "query_family" table entry).
 //
 // Deterministic parity metrics (gated exactly — they are contracts, not
 // timings):

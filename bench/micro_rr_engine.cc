@@ -3,7 +3,8 @@
 // counts, plus the incremental_select section — IMM-style append-then-select
 // rounds with the persistent incremental index versus the legacy
 // rebuild-the-index-every-round path. Emits BENCH_rr_engine.json; the CI
-// bench-gate (tools/check_bench_regression.py) fails the job when
+// bench-gate (tools/check_bench_regression.py, "rr_engine" table entry)
+// fails the job when
 // bytes_per_set or the incremental_select speedup regresses against the
 // committed baseline (see .github/workflows/ci.yml).
 

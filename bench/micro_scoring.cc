@@ -3,7 +3,8 @@
 // the legacy full-recompute-every-round path against the dirty-frontier
 // incremental rescore (algo/score_sweep.h), for both EaSyIM and OSIM. Seed
 // sets must be identical; only the cost may differ. Emits BENCH_scoring.json;
-// the CI bench-gate (tools/check_bench_regression.py) fails the job when the
+// the CI bench-gate (tools/check_bench_regression.py, "scoring" table
+// entry) fails the job when the
 // deterministic work_ratio or the rescore_speedup regresses against the
 // committed baseline (see .github/workflows/ci.yml).
 //

@@ -3,7 +3,7 @@
 // workload — once as the BASELINE configuration (FIFO dispatch + plain
 // LRU workspaces, no pre-warm) and once as the HEAT configuration
 // (artifact-affinity scheduling + benefit-per-byte eviction + pre-warm).
-// Emits BENCH_serving.json; the CI bench-gate ("serving" dispatch) pins
+// Emits BENCH_serving.json; the CI bench-gate ("serving" table entry) pins
 // the warm-hit / coalesced-build / pre-warm counters exactly and gates
 // the QPS ratio (with an absolute 2x floor) and the p99 ratio as
 // timing metrics.

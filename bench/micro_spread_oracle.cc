@@ -1,12 +1,12 @@
 // Spread-oracle microbenchmark: the sketch oracle (presampled live-edge
 // snapshots + incremental marginal-gain session) versus the per-candidate
 // Monte-Carlo spread path, on the 100k-node WC benchmark graph. Emits
-// BENCH_spread.json; the CI bench-gate (tools/check_bench_regression.py)
-// fails the job when the deterministic metrics (arena bytes/snapshot,
-// session work ratio, sketch-vs-MC spread parity) or the timing ratios
-// (CELF speedup vs MC, incremental-session speedup vs one-shot sketch,
-// bit-parallel speedup vs the scalar session) regress against the
-// committed baseline.
+// BENCH_spread.json; the CI bench-gate (tools/check_bench_regression.py,
+// "spread_oracle" table entry) fails the job when the deterministic
+// metrics (arena bytes/snapshot, session work ratio, sketch-vs-MC spread
+// parity) or the timing ratios (CELF speedup vs MC, incremental-session
+// speedup vs one-shot sketch, bit-parallel speedup vs the scalar session)
+// regress against the committed baseline.
 //
 // The sketch legs carried over from earlier baselines run on the scalar
 // per-snapshot reference (bench_support/sketch_reference.h: the same

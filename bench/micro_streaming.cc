@@ -6,7 +6,7 @@
 // runs the same comparison on the RR-set engine (RrCollection::ApplyDelta
 // block replay vs a fresh GenerateParallel). Emits BENCH_streaming.json;
 // the CI bench-gate (tools/check_bench_regression.py, "streaming"
-// dispatch) fails the job when the incremental speedup drops below the
+// table entry) fails the job when the incremental speedup drops below the
 // absolute floor or regresses against the committed baseline.
 //
 // Per-step parity is HOLIM_CHECKed: the warm post-delta solve must pick

@@ -35,11 +35,17 @@ Checks, relative to the repo root (the script's parent directory):
      tools/holimd_cli.cc must appear as a `--flag` row under the
      "## Serving" heading, and every row must still be declared.
 
+  6. docs/ARCHITECTURE.md's "Bench-gate workflow" section names every
+     metric path in the bound table of tools/check_bench_regression.py
+     (as a `backticked` path), so the documented gate cannot drift from
+     the one CI runs.
+
 Exit 1 with a per-finding message on any violation.
 
 Usage: python3 tools/check_docs.py
 """
 
+import importlib.util
 import pathlib
 import re
 import sys
@@ -245,6 +251,29 @@ def check_serving_table(readme_text, failures):
                         "not declared in tools/holimd_cli.cc")
 
 
+GATE_SOURCE = REPO / "tools" / "check_bench_regression.py"
+GATE_DOC = REPO / "docs" / "ARCHITECTURE.md"
+GATE_HEADING = "## Bench-gate workflow"
+
+
+def check_gate_table(failures):
+    spec = importlib.util.spec_from_file_location("bench_gate", GATE_SOURCE)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    section = GATE_DOC.read_text(encoding="utf-8").split(GATE_HEADING, 1)
+    if len(section) < 2:
+        failures.append(f"docs/ARCHITECTURE.md: no '{GATE_HEADING}' section "
+                        "— it must document the bench gate's bound table")
+        return
+    body = section[1].split("\n## ", 1)[0]
+    for kind, (_, metrics) in gate.TABLE.items():
+        for path, *_ in metrics:
+            if f"`{path}`" not in body:
+                failures.append(f"docs/ARCHITECTURE.md: bench-gate metric "
+                                f"'{path}' ({kind}) is not named in the "
+                                f"'{GATE_HEADING}' section")
+
+
 def main():
     failures = []
     files = doc_files()
@@ -261,6 +290,7 @@ def main():
         check_registry_table(readme_text, failures)
         check_query_table(readme_text, failures)
         check_serving_table(readme_text, failures)
+    check_gate_table(failures)
 
     if failures:
         print("docs-gate FAILED:", file=sys.stderr)
