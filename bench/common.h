@@ -1,9 +1,9 @@
 #ifndef HOLIM_BENCH_COMMON_H_
 #define HOLIM_BENCH_COMMON_H_
 
-// Shared setup helpers for the figure/table reproduction binaries. Every
-// binary prints a fixed-width table (the paper's rows/series) and writes a
-// CSV copy under results/.
+// Shared setup helpers for bench_repro (the paper's figures and tables:
+// each prints a fixed-width table and writes a CSV copy under results/)
+// and the micro benches.
 
 #include <memory>
 #include <string>

@@ -1,11 +1,15 @@
 #ifndef HOLIM_BENCH_SUPPORT_ENGINE_SUPPORT_H_
 #define HOLIM_BENCH_SUPPORT_ENGINE_SUPPORT_H_
 
-// Glue between the bench harness and HolimEngine: every figure/table
-// binary (and holim_cli) dispatches its algorithm runs through an engine
-// with a SolveRequest prefilled here, instead of hand-constructing
-// selectors — one dispatch path, and the Workspace amortizes sketch
-// arenas / scorer state across a binary's queries.
+// Glue between the bench harness and HolimEngine: holim_cli, the engine
+// micro benches and bench_repro's figures dispatch their algorithm runs through
+// an engine with a SolveRequest prefilled here — one dispatch path, and
+// the Workspace amortizes sketch arenas / scorer state across a run's
+// queries. bench_repro still builds selectors directly in two cases: the
+// memory figures (5h, 6i, 6j, 7j), which measure a selector's own
+// footprint, and knobs SolveRequest does not carry — ScoreGREEDY's
+// ActivationStrategy (ablation_activation), 7j's mc_rounds = 5, and the
+// IC-N objective of ablation_icn_model, which is not a registry algorithm.
 
 #include <memory>
 #include <string>
@@ -17,9 +21,6 @@
 
 namespace holim {
 
-/// SolveRequest prefilled from the shared bench config and common flag
-/// family. Benches run their own evaluation sweeps, so evaluate_spread is
-/// off; flip it (or any other knob) on the returned request as needed.
 /// The bench binaries' shared sketch-oracle acquisition: R = config.mc
 /// worlds (so the sketch and MC estimators see comparable sample sizes),
 /// sampled serially per the figure methodology, cached in the engine's
@@ -40,6 +41,9 @@ inline std::shared_ptr<const SketchOracle> GetBenchSketchOracle(
       .ValueOrDie();
 }
 
+/// SolveRequest prefilled from the shared bench config and common flag
+/// family. Benches run their own evaluation sweeps, so evaluate_spread is
+/// off; flip it (or any other knob) on the returned request as needed.
 inline SolveRequest MakeSolveRequest(std::string algorithm, uint32_t k,
                                      const InfluenceParams& params,
                                      const CommonBenchConfig& config,

@@ -134,11 +134,18 @@ std::string ResultsDir() {
   return dir;
 }
 
-void DeclareCommonFlags(BenchArgs* args) {
-  args->Declare("scale", "dataset scale factor vs paper size (default 0.2)");
-  args->Declare("mc", "Monte-Carlo simulations per estimate (default 200)");
-  args->Declare("max_k", "largest seed-set size (default 100)");
-  args->Declare("seed", "global RNG seed (default 42)");
+void DeclareCommonFlags(BenchArgs* args, const CommonBenchConfig& defaults,
+                        const std::string& scale_note) {
+  args->Declare("scale", "dataset scale factor vs paper size (default " +
+                             CsvWriter::Num(defaults.scale) + scale_note +
+                             ")");
+  args->Declare("mc", "Monte-Carlo simulations per estimate (default " +
+                          std::to_string(defaults.mc) + ")");
+  args->Declare("max_k", "largest seed-set size (default " +
+                             std::to_string(defaults.max_k) + ")");
+  args->Declare("seed",
+                "global RNG seed (default " + std::to_string(defaults.seed) +
+                    ")");
 }
 
 void DeclareCommonOptions(BenchArgs* args, const CommonOptionsSpec& spec) {
@@ -242,8 +249,9 @@ Result<CommonOptions> ParseCommonOptions(const BenchArgs& args,
   return options;
 }
 
-CommonBenchConfig ReadCommonConfig(const BenchArgs& args) {
-  CommonBenchConfig config;
+CommonBenchConfig ReadCommonConfig(const BenchArgs& args,
+                                   const CommonBenchConfig& defaults) {
+  CommonBenchConfig config = defaults;
   config.scale = args.GetDouble("scale", config.scale);
   config.mc = static_cast<uint32_t>(args.GetInt("mc", config.mc));
   config.max_k = static_cast<uint32_t>(args.GetInt("max_k", config.max_k));

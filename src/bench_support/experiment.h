@@ -68,8 +68,14 @@ struct CommonBenchConfig {
   uint32_t max_k = 100;       // largest seed-set size
   uint64_t seed = 42;
 };
-CommonBenchConfig ReadCommonConfig(const BenchArgs& args);
-void DeclareCommonFlags(BenchArgs* args);
+/// Both take the defaults the flags fall back to, so the help text
+/// cannot drift from the value a binary actually runs at; `scale_note`
+/// is appended to the --scale default (e.g. "; capped at 0.05").
+CommonBenchConfig ReadCommonConfig(const BenchArgs& args,
+                                   const CommonBenchConfig& defaults = {});
+void DeclareCommonFlags(BenchArgs* args,
+                        const CommonBenchConfig& defaults = {},
+                        const std::string& scale_note = "");
 
 /// \brief The shared `--oracle` / `--rescore` / `--threads` flag family
 /// of the bench binaries and holim_cli, declared and parsed from ONE spec

@@ -1,5 +1,6 @@
 #include "serving/holim_server.h"
 
+#include <errno.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -26,6 +27,7 @@ bool SendAll(int fd, const std::string& data) {
   while (sent < data.size()) {
     const ssize_t wrote =
         ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) continue;
     if (wrote <= 0) return false;
     sent += static_cast<std::size_t>(wrote);
   }
@@ -343,7 +345,10 @@ Status HolimServer::ServeUnixSocket(const std::string& path) {
   }
   bool quit = false;
   while (!quit) {
+    // A signal delivered while blocked (a handler installed without
+    // SA_RESTART) interrupts accept/read with EINTR: retry, don't stop.
     const int client = ::accept(listener, nullptr, nullptr);
+    if (client < 0 && errno == EINTR) continue;
     if (client < 0) {
       ::close(listener);
       return Status::IOError("accept failed on " + path);
@@ -353,8 +358,10 @@ Status HolimServer::ServeUnixSocket(const std::string& path) {
     std::string buffer;
     std::vector<std::string> lines;
     char chunk[4096];
-    ssize_t n = 0;
-    while (!quit && (n = ::read(client, chunk, sizeof(chunk))) > 0) {
+    while (!quit) {
+      const ssize_t n = ::read(client, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
       buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t newline;
       while (!quit && (newline = buffer.find('\n')) != std::string::npos) {

@@ -5,11 +5,21 @@
 // contract (heat+affinity vs FIFO+LRU per-id seed parity).
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -422,6 +432,129 @@ TEST(ServerTest, PipeModeIsByteDeterministic) {
   std::ostringstream out;
   EXPECT_TRUE(server.RunPipe(in, out).ok());
   EXPECT_NE(out.str().find("ok id=8 "), std::string::npos);
+}
+
+// ------------------------------------------------------------ socket mode
+
+/// holimd_cli's defaults as the CI pipe-mode smoke runs it (--tenants=2
+/// --tenant-nodes=200 --sketches=32).
+std::unique_ptr<HolimServer> HolimdLikeServer() {
+  ServerOptions options;
+  options.num_sketches = 32;
+  auto server = std::make_unique<HolimServer>(options);
+  for (uint64_t t = 0; t < 2; ++t) {
+    EXPECT_TRUE(
+        server->AddTenant(GenerateSocialGraph(200, 6.0, 42 + t).ValueOrDie())
+            .ok());
+  }
+  return server;
+}
+
+/// The CI holimd pipe-mode script: warm/coalesced solves on two tenants
+/// across all three models, two stats probes, then quit.
+std::string CiPipeScript() {
+  std::string script =
+      "ping\nsolve id=1 tenant=0 model=IC k=5\nsolve id=2 tenant=0 "
+      "model=IC k=5\nsolve id=3 tenant=1 model=WC k=5\nstats\n";
+  int id = 3;
+  for (int t : {0, 1}) {
+    for (const char* model : {"IC", "WC", "LT"}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        script += "solve id=" + std::to_string(++id) + " tenant=" +
+                  std::to_string(t) + " model=" + model + " k=5\n";
+      }
+    }
+  }
+  return script + "stats\nquit\n";
+}
+
+std::string SocketPath(const std::string& tag) {
+  return ::testing::TempDir() + "holimd_" + tag + "_" +
+         std::to_string(::getpid()) + ".sock";
+}
+
+/// One client session: connects (retrying while the server binds), sends
+/// `script`, half-closes, and returns every reply byte until the server
+/// closes the connection. Empty when no server ever accepted.
+std::string Converse(const std::string& path, const std::string& script) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  int fd = -1;
+  for (int attempt = 0; attempt < 1000 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  if (fd < 0) return "";
+  EXPECT_EQ(::send(fd, script.data(), script.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(script.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) reply.append(chunk, n);
+  ::close(fd);
+  return reply;
+}
+
+TEST(ServerSocketTest, RepliesAreByteIdenticalToPipeMode) {
+  const std::string script = CiPipeScript();
+  std::istringstream in(script);
+  std::ostringstream out;
+  ASSERT_TRUE(HolimdLikeServer()->RunPipe(in, out).ok());
+  ASSERT_NE(out.str().find("stats tenants=2"), std::string::npos);
+
+  const std::string path = SocketPath("parity");
+  std::unique_ptr<HolimServer> server = HolimdLikeServer();
+  Status served;
+  std::thread thread([&] { served = server->ServeUnixSocket(path); });
+  const std::string reply = Converse(path, script);
+  thread.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  EXPECT_EQ(reply, out.str());
+}
+
+std::atomic<int> g_signals{0};
+void CountSignal(int) { g_signals.fetch_add(1); }
+
+TEST(ServerSocketTest, SignalDuringAcceptDoesNotStopServing) {
+  // No SA_RESTART: the blocked accept() returns EINTR.
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = CountSignal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  const std::string path = SocketPath("eintr");
+  ::unlink(path.c_str());
+  HolimServer server(FastOptions());
+  AddTenants(server, 1);
+  Status served;
+  std::thread thread([&] { served = server.ServeUnixSocket(path); });
+  // Bound and listening once the path exists; then give the thread time
+  // to block in accept() before the signal lands.
+  struct stat st {};
+  for (int i = 0; i < 1000 && ::stat(path.c_str(), &st) != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const int before = g_signals.load();
+  ASSERT_EQ(::pthread_kill(thread.native_handle(), SIGUSR1), 0);
+  for (int i = 0; i < 1000 && g_signals.load() == before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(g_signals.load(), before);
+
+  EXPECT_EQ(Converse(path, "ping\nquit\n"), "pong\nbye\n");
+  thread.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  ::sigaction(SIGUSR1, &previous, nullptr);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI docs gate: broken intra-repo links and a stale figure-binary table.
+"""CI docs gate: broken intra-repo links and stale bench/figure tables.
 
 Checks, relative to the repo root (the script's parent directory):
 
@@ -8,11 +8,15 @@ Checks, relative to the repo root (the script's parent directory):
      pure fragments (#...) are skipped; a fragment on a relative link is
      stripped before the existence check.
 
-  2. README.md's bench table stays in sync with bench/: every bench/*.cc
-     translation unit must be mentioned as its binary name (bench_<stem>),
-     and every `bench_...` name mentioned in README.md must still have a
-     source file. This keeps the figure-to-binary map trustworthy as bench
-     binaries are added or renamed.
+  2. README.md's bench tables stay in sync with bench/, both directions:
+     every bench/*.cc translation unit must be mentioned as its binary
+     name (bench_<stem>) and every `bench_...` name in README.md must
+     still have a source file; and every figure id in the table of
+     bench/repro.cc (the `.id = "..."` lines — the rows keep that shape
+     for exactly this check) must be a `--figure=<id>` row of README's
+     figure table, and every such row must still be a driver id. This
+     keeps the figure-to-command map trustworthy as figures are added or
+     renamed.
 
   3. README.md's "Algorithm registry" table stays in sync with the engine
      registry: every canonical name registered in
@@ -90,6 +94,12 @@ def check_links(path, text, failures):
                             f"'{target}' (no {shown})")
 
 
+REPRO_SOURCE = REPO / "bench" / "repro.cc"
+REPRO_ID_RE = re.compile(r'\.id = "([^"]+)"')
+FIGURE_ROW_RE = re.compile(r"^\|\s*`--figure=([A-Za-z0-9_]+)`\s*\|",
+                           re.MULTILINE)
+
+
 def check_bench_table(readme_text, failures):
     bench_dir = REPO / "bench"
     sources = {f"bench_{src.stem}" for src in bench_dir.glob("*.cc")
@@ -101,6 +111,23 @@ def check_bench_table(readme_text, failures):
     for stale in sorted(mentioned - sources):
         failures.append(f"README.md: mentions '{stale}' but bench/ has no "
                         "such source — remove or rename the table row")
+
+    if not REPRO_SOURCE.exists():
+        failures.append(f"{REPRO_SOURCE.relative_to(REPO)} missing — the "
+                        "figure-table sync check has nothing to parse")
+        return
+    ids = set(REPRO_ID_RE.findall(REPRO_SOURCE.read_text(encoding="utf-8")))
+    if not ids:
+        failures.append("bench/repro.cc: no `.id = \"...\"` figure rows "
+                        "found — the figure-table shape changed?")
+        return
+    documented = set(FIGURE_ROW_RE.findall(readme_text))
+    for missing in sorted(ids - documented):
+        failures.append(f"README.md: figure '{missing}' (bench/repro.cc) "
+                        "has no `--figure=` row in the figure table")
+    for stale in sorted(documented - ids):
+        failures.append(f"README.md: figure table row '--figure={stale}' "
+                        "is not a figure id in bench/repro.cc")
 
 
 REGISTRY_SOURCE = REPO / "src" / "engine" / "algorithms.cc"
