@@ -165,6 +165,25 @@ void BM_IcSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_IcSimulation)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The ScoreGREEDY MC-majority shape: repeated single-seed cascades against
+// a fixed blocked set (every tenth node, standing in for V(a)).
+void BM_IcSimulationBlocked(benchmark::State& state) {
+  const Fixture& f = GetFixture(state.range(0));
+  IcSimulator sim(f.graph, f.params);
+  const NodeId n = f.graph.num_nodes();
+  EpochSet blocked(n);
+  blocked.Reset(n);
+  for (NodeId v = 5; v < n; v += 10) blocked.Insert(v);
+  Rng rng(1);
+  const NodeId seeds[] = {0};
+  std::size_t total = 0;
+  for (auto _ : state) {
+    total += sim.RunWithBlocked(seeds, rng, blocked).order.size();
+  }
+  benchmark::DoNotOptimize(total);
+}
+BENCHMARK(BM_IcSimulationBlocked)->Arg(1000)->Arg(10000)->Arg(100000);
+
 void BM_RrSetSampling(benchmark::State& state) {
   const Fixture& f = GetFixture(state.range(0));
   RrCollection rr(f.graph, f.params);

@@ -99,6 +99,12 @@ void ScoreGreedy::GrowActivatedSet(NodeId new_seed) {
           if (hits[v]++ == 0) candidates.push_back(v);
         }
       }
+      mc_peak_bytes_ = std::max(
+          mc_peak_bytes_,
+          hits.capacity() * sizeof(uint32_t) +
+              (activated_this_run.capacity() + candidates.capacity()) *
+                  sizeof(NodeId) +
+              (simulate_scratch_bytes_ ? simulate_scratch_bytes_() : 0));
       const double need = options_.majority_fraction * options_.mc_rounds;
       for (NodeId v : candidates) {
         if (static_cast<double>(hits[v]) >= need) InsertActivated(v);
@@ -126,6 +132,7 @@ Result<SeedSelection> ScoreGreedy::Select(uint32_t k) {
   Timer timer;
   activated_.Reset(graph_.num_nodes());
   newly_activated_.clear();
+  mc_peak_bytes_ = 0;
   EpochSet seed_set(graph_.num_nodes());
   seed_set.Reset(graph_.num_nodes());
   std::vector<double> scores;
@@ -186,32 +193,32 @@ Result<SeedSelection> ScoreGreedy::Select(uint32_t k) {
   }
   selection.elapsed_seconds = timer.ElapsedSeconds();
   selection.overhead_bytes = meter.OverheadBytes();
+  selection.activation_bytes =
+      activated_.size_bytes() + seed_set.size_bytes() + mc_peak_bytes_;
   return selection;
 }
 
 namespace {
 
-/// Simulation hook for the MC-majority strategy under IC-style dynamics.
-ScoreGreedy::SimulateFn MakeIcSimulateFn(const Graph& graph,
-                                         const InfluenceParams& params) {
-  auto sim = std::make_shared<IcSimulator>(graph, params);
-  return [sim](NodeId seed, const EpochSet& blocked, Rng& rng,
-               std::vector<NodeId>* out) {
-    const NodeId seeds[] = {seed};
-    const Cascade& cascade = sim->RunWithBlocked(seeds, rng, blocked);
-    for (const Activation& a : cascade.order) out->push_back(a.node);
+/// Binds the MC-majority simulation hook: IcSimulator for IC/WC dynamics,
+/// LtSimulator under LT.
+void BindSimulator(ScoreGreedy& driver, const Graph& graph,
+                   const InfluenceParams& params, bool linear_threshold) {
+  auto bind = [&driver](auto sim) {
+    driver.set_simulate_fn(
+        [sim](NodeId seed, const EpochSet& blocked, Rng& rng,
+              std::vector<NodeId>* out) {
+          const NodeId seeds[] = {seed};
+          const Cascade& cascade = sim->RunWithBlocked(seeds, rng, blocked);
+          for (const Activation& a : cascade.order) out->push_back(a.node);
+        },
+        [sim] { return sim->ScratchBytes(); });
   };
-}
-
-ScoreGreedy::SimulateFn MakeLtSimulateFn(const Graph& graph,
-                                         const InfluenceParams& params) {
-  auto sim = std::make_shared<LtSimulator>(graph, params);
-  return [sim](NodeId seed, const EpochSet& blocked, Rng& rng,
-               std::vector<NodeId>* out) {
-    const NodeId seeds[] = {seed};
-    const Cascade& cascade = sim->RunWithBlocked(seeds, rng, blocked);
-    for (const Activation& a : cascade.order) out->push_back(a.node);
-  };
+  if (linear_threshold) {
+    bind(std::make_shared<LtSimulator>(graph, params));
+  } else {
+    bind(std::make_shared<IcSimulator>(graph, params));
+  }
 }
 
 /// The shared per-round dispatch of EaSyIM/OSIM onto their scorer:
@@ -249,11 +256,8 @@ std::string EasyImSelector::name() const {
 Result<SeedSelection> EasyImSelector::Select(uint32_t k) {
   ScoreGreedy driver(graph_, MakeSweepScoreFn(scorer_, options_), options_);
   driver.set_deadline(deadline_);
-  if (params_.model == DiffusionModel::kLinearThreshold) {
-    driver.set_simulate_fn(MakeLtSimulateFn(graph_, params_));
-  } else {
-    driver.set_simulate_fn(MakeIcSimulateFn(graph_, params_));
-  }
+  BindSimulator(driver, graph_, params_,
+                params_.model == DiffusionModel::kLinearThreshold);
   driver.set_edge_probability(&params_.probability);
   driver.set_max_hops(scorer_.path_length());
   auto result = driver.Select(k);
@@ -282,11 +286,8 @@ std::string OsimSelector::name() const {
 Result<SeedSelection> OsimSelector::Select(uint32_t k) {
   ScoreGreedy driver(graph_, MakeSweepScoreFn(scorer_, options_), options_);
   driver.set_deadline(deadline_);
-  if (base_ == OiBase::kLinearThreshold) {
-    driver.set_simulate_fn(MakeLtSimulateFn(graph_, influence_));
-  } else {
-    driver.set_simulate_fn(MakeIcSimulateFn(graph_, influence_));
-  }
+  BindSimulator(driver, graph_, influence_,
+                base_ == OiBase::kLinearThreshold);
   driver.set_edge_probability(&influence_.probability);
   driver.set_max_hops(scorer_.path_length());
   auto result = driver.Select(k);

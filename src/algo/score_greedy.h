@@ -91,7 +91,13 @@ class ScoreGreedy {
   /// `seed` with `blocked` nodes removed and report the activated nodes.
   using SimulateFn = std::function<void(NodeId seed, const EpochSet& blocked,
                                         Rng& rng, std::vector<NodeId>* out)>;
-  void set_simulate_fn(SimulateFn fn) { simulate_fn_ = std::move(fn); }
+  /// `scratch_bytes`, when set, reports the simulator's retained scratch
+  /// for SeedSelection::activation_bytes.
+  void set_simulate_fn(SimulateFn fn,
+                       std::function<std::size_t()> scratch_bytes = {}) {
+    simulate_fn_ = std::move(fn);
+    simulate_scratch_bytes_ = std::move(scratch_bytes);
+  }
 
   /// Hook for kExpectedReach: edge probability accessor.
   void set_edge_probability(const std::vector<double>* p) { edge_prob_ = p; }
@@ -114,6 +120,9 @@ class ScoreGreedy {
   IncrementalScoreFn score_fn_;
   ScoreGreedyOptions options_;
   SimulateFn simulate_fn_;
+  std::function<std::size_t()> simulate_scratch_bytes_;
+  /// Largest MC-majority per-pick working set of the current Select.
+  std::size_t mc_peak_bytes_ = 0;
   const std::vector<double>* edge_prob_ = nullptr;
   Deadline* deadline_ = nullptr;
   uint32_t max_hops_ = 3;

@@ -26,6 +26,11 @@ struct SeedSelection {
   /// scratch buffers, where the algorithm reports them. 0 if N/A. Unlike
   /// overhead_bytes this is exact and reproducible below RSS granularity.
   std::size_t scratch_bytes = 0;
+  /// Same convention, for ScoreGREEDY's activation bookkeeping: the V(a)
+  /// and seed-set stamps plus, under MC-majority, the largest per-pick
+  /// buffers (hit counts, run and candidate lists) and the cascade
+  /// simulator's scratch. 0 for other algorithms.
+  std::size_t activation_bytes = 0;
   /// Algorithm-internal score of each chosen seed (empty if N/A).
   std::vector<double> seed_scores;
   /// True when a deadline/cancellation stopped the run early; `seeds` then

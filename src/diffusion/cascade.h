@@ -58,6 +58,11 @@ class EpochSet {
   bool Contains(NodeId u) const { return stamp_[u] == epoch_; }
   void Insert(NodeId u) { stamp_[u] = epoch_; }
 
+  /// Raw view for hot loops that hoist the membership test:
+  /// `Contains(u)` is `stamps()[u] == epoch()`. Valid until the next Reset.
+  const uint32_t* stamps() const { return stamp_.data(); }
+  uint32_t epoch() const { return epoch_; }
+
   std::size_t size_bytes() const { return stamp_.capacity() * sizeof(uint32_t); }
 
  private:

@@ -19,6 +19,19 @@ namespace holim {
 ///
 /// The simulator owns reusable scratch; Run() is O(activated edges) and the
 /// returned Cascade is valid until the next Run().
+///
+/// Draw-order contract: one Bernoulli draw per out-edge (u,v) of a popped
+/// node u whose target is neither active nor blocked at the moment the
+/// edge is reached, in BFS pop order and then out-row order.
+///
+/// Each row is scanned one of two ways, chosen by the share of closed
+/// (active or blocked) targets over recently scanned rows. At 25% or more
+/// the scan is compact-then-draw: a branch-free pass collects the open
+/// targets' row positions, then the coin pass draws for them. Below that,
+/// one pass with a skip branch is cheaper. Both make exactly the draws of
+/// the plain single-pass loop, so the choice never changes a result;
+/// tests/ic_kernel_parity_test.cc pins the kernel against that loop,
+/// Cascade records and Rng state alike.
 class IcSimulator {
  public:
   IcSimulator(const Graph& graph, const InfluenceParams& params);
@@ -31,16 +44,30 @@ class IcSimulator {
   const Cascade& RunWithBlocked(std::span<const NodeId> seeds, Rng& rng,
                                 const EpochSet& blocked);
 
-  std::size_t ScratchBytes() const { return active_.size_bytes(); }
+  /// Active-set stamps plus the candidate buffer (sized to the largest
+  /// out-degree scanned so far), capacity-based.
+  std::size_t ScratchBytes() const {
+    return active_.size_bytes() + candidates_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   const Cascade& RunImpl(std::span<const NodeId> seeds, Rng& rng,
                          const EpochSet* blocked);
+  /// BFS over cascade_.order from the seeds already in it.
+  template <bool kBlocked>
+  void Propagate(Rng& rng, const EpochSet* blocked);
 
   const Graph& graph_;
   const InfluenceParams& params_;
   Cascade cascade_;
   EpochSet active_;
+  // Row positions of the open out-neighbours of the node being expanded.
+  std::vector<uint32_t> candidates_;
+  // Targets scanned and found closed over recent rows (halved past
+  // kScanWindow); picks the row scan, never the draws.
+  static constexpr uint64_t kScanWindow = uint64_t{1} << 16;
+  uint64_t recent_scanned_ = 0;
+  uint64_t recent_closed_ = 0;
   // Activation count of the previous run; seeds Run's reserve.
   std::size_t last_activation_count_ = 0;
 };

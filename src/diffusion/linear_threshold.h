@@ -27,6 +27,12 @@ class LtSimulator {
   const Cascade& RunWithBlocked(std::span<const NodeId> seeds, Rng& rng,
                                 const EpochSet& blocked);
 
+  /// Per-node stamps, weights and thresholds, capacity-based.
+  std::size_t ScratchBytes() const {
+    return active_.size_bytes() + touched_.size_bytes() +
+           (weight_in_.capacity() + threshold_.capacity()) * sizeof(double);
+  }
+
  private:
   const Cascade& RunImpl(std::span<const NodeId> seeds, Rng& rng,
                          const EpochSet* blocked);

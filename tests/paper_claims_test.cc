@@ -113,5 +113,24 @@ TEST(PaperClaimsTest, IncrementalRescoreAddsTheLevelTable) {
   }
 }
 
+// Fig. 5h's OSIM row: the MC-majority bookkeeping is O(n) too — four
+// per-node stamp/count arrays (V(a), seed set, hit counts, the cascade's
+// active set) plus buffers bounded by n and the largest row — and it is
+// the same number on every run.
+TEST(PaperClaimsTest, ActivationWorkingSetIsLinearAndReproducible) {
+  for (NodeId n : kSizes) {
+    const StandIn s = MakeStandIn(n);
+    auto select = [&] {
+      OsimSelector osim(s.graph, s.params, s.opinions,
+                        OiBase::kIndependentCascade, kL, Rescore(false));
+      return osim.Select(kBudgets[1]).ValueOrDie().activation_bytes;
+    };
+    const std::size_t bytes = select();
+    EXPECT_EQ(bytes, select()) << "n=" << n;
+    EXPECT_GE(bytes, 4 * n * sizeof(uint32_t)) << "n=" << n;
+    EXPECT_LE(bytes, 8 * n * sizeof(uint32_t)) << "n=" << n;
+  }
+}
+
 }  // namespace
 }  // namespace holim
