@@ -54,12 +54,6 @@ void IcSimulator::Propagate(Rng& rng, const EpochSet* blocked) {
     if constexpr (kBlocked) result &= block[v] != block_epoch;
     return result;
   };
-  auto draw = [&](NodeId v, EdgeId e, uint32_t step) {
-    if (rng.NextBernoulli(params_.p(e))) {
-      active_.Insert(v);
-      cascade_.order.push_back({v, e, step});
-    }
-  };
   // cascade_.order doubles as the BFS frontier queue.
   std::size_t head = 0;
   while (head < cascade_.order.size()) {
@@ -68,45 +62,28 @@ void IcSimulator::Propagate(Rng& rng, const EpochSet* blocked) {
     const auto neighbors = graph_.OutNeighbors(current.node);
     const std::size_t degree = neighbors.size();
     const uint32_t step = current.step + 1;
-    std::size_t closed = 0;
-    if (recent_closed_ * 4 < recent_scanned_) {
-      // Few closed targets lately: the skip branch predicts well and a
-      // second pass would only add work.
-      for (std::size_t i = 0; i < degree; ++i) {
-        const NodeId v = neighbors[i];
-        if (!open(v)) {
-          ++closed;
-          continue;
-        }
-        draw(v, base + i, step);
-      }
-    } else {
-      if (degree > candidates_.size()) candidates_.resize(degree);
-      uint32_t* candidates = candidates_.data();
-      // Pass 1 (compact): row positions of the open targets, without a
-      // data-dependent branch. Every slot is written; only the open ones
-      // advance the count.
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < degree; ++i) {
-        candidates[count] = static_cast<uint32_t>(i);
-        count += open(neighbors[i]);
-      }
-      closed = degree - count;
-      // Pass 2 (draw): one coin per candidate, in row order. The re-check
-      // skips a parallel edge whose target an earlier edge of this row
-      // just activated, as the one-pass scan does.
-      for (std::size_t j = 0; j < count; ++j) {
-        const uint32_t i = candidates[j];
-        const NodeId v = neighbors[i];
-        if (active[v] == active_epoch) continue;
-        draw(v, base + i, step);
-      }
+    if (degree > candidates_.size()) candidates_.resize(degree);
+    uint32_t* candidates = candidates_.data();
+    // Pass 1 (compact): row positions of the open targets, without a
+    // data-dependent branch. Every slot is written; only the open ones
+    // advance the count.
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < degree; ++i) {
+      candidates[count] = static_cast<uint32_t>(i);
+      count += open(neighbors[i]);
     }
-    recent_scanned_ += degree;
-    recent_closed_ += closed;
-    if (recent_scanned_ > kScanWindow) {
-      recent_scanned_ /= 2;
-      recent_closed_ /= 2;
+    // Pass 2 (draw): one coin per candidate, in row order. The re-check
+    // skips a parallel edge whose target an earlier edge of this row
+    // just activated, as the single-pass loop did.
+    for (std::size_t j = 0; j < count; ++j) {
+      const uint32_t i = candidates[j];
+      const NodeId v = neighbors[i];
+      if (active[v] == active_epoch) continue;
+      const EdgeId e = base + i;
+      if (rng.NextBernoulli(params_.p(e))) {
+        active_.Insert(v);
+        cascade_.order.push_back({v, e, step});
+      }
     }
   }
 }

@@ -24,12 +24,9 @@ namespace holim {
 /// node u whose target is neither active nor blocked at the moment the
 /// edge is reached, in BFS pop order and then out-row order.
 ///
-/// Each row is scanned one of two ways, chosen by the share of closed
-/// (active or blocked) targets over recently scanned rows. At 25% or more
-/// the scan is compact-then-draw: a branch-free pass collects the open
-/// targets' row positions, then the coin pass draws for them. Below that,
-/// one pass with a skip branch is cheaper. Both make exactly the draws of
-/// the plain single-pass loop, so the choice never changes a result;
+/// Each popped row is scanned compact-then-draw: a branch-free pass
+/// collects the open targets' row positions, then the coin pass draws for
+/// them. It makes exactly the draws of the plain single-pass loop;
 /// tests/ic_kernel_parity_test.cc pins the kernel against that loop,
 /// Cascade records and Rng state alike.
 class IcSimulator {
@@ -63,11 +60,6 @@ class IcSimulator {
   EpochSet active_;
   // Row positions of the open out-neighbours of the node being expanded.
   std::vector<uint32_t> candidates_;
-  // Targets scanned and found closed over recent rows (halved past
-  // kScanWindow); picks the row scan, never the draws.
-  static constexpr uint64_t kScanWindow = uint64_t{1} << 16;
-  uint64_t recent_scanned_ = 0;
-  uint64_t recent_closed_ = 0;
   // Activation count of the previous run; seeds Run's reserve.
   std::size_t last_activation_count_ = 0;
 };

@@ -54,6 +54,15 @@ class OiSimulator {
 
   OiBase base() const { return base_; }
 
+  /// Retained scratch of both base simulators plus the per-node opinion,
+  /// step and settled buffers, capacity-based (the returned cascade is
+  /// not counted).
+  std::size_t ScratchBytes() const {
+    return ic_.ScratchBytes() + lt_.ScratchBytes() +
+           node_opinion_.capacity() * sizeof(double) +
+           node_step_.capacity() * sizeof(uint32_t) + settled_.size_bytes();
+  }
+
  private:
   const OpinionCascade& ComputeOpinionsIc(const Cascade& cascade, Rng& rng);
   const OpinionCascade& ComputeOpinionsLt(const Cascade& cascade, Rng& rng);

@@ -1,11 +1,9 @@
-// IcSimulator kernel parity: the production row scans (compact-then-draw,
-// or one pass when few targets are closed) against a test-side copy of
-// the single-pass loop they replaced. The two must agree on every Cascade
-// record (node, via_edge, step) and leave the caller's Rng in the same
-// state (the next draw is compared), on graphs with parallel edges and
-// self-loops (dedup off), p in {0, 1, mixed}, with and without a blocked
-// set, over many runs on one simulator. p = 1 cascades close most targets
-// and p = 0 ones almost none, so both scans run.
+// IcSimulator kernel parity: the compact-then-draw row scan against a
+// test-side copy of the single-pass loop it replaced. The two must agree
+// on every Cascade record (node, via_edge, step) and leave the caller's
+// Rng in the same state (the next draw is compared), on graphs with
+// parallel edges and self-loops (dedup off), p in {0, 1, mixed}, with and
+// without a blocked set, over many runs on one simulator.
 //
 // The EaSyIM/OSIM engine seeds and MC spreads at the bottom were captured
 // from the single-pass kernel; they pin the MC-majority step end to end.
