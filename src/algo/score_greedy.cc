@@ -202,10 +202,10 @@ namespace {
 
 /// Binds the MC-majority simulation hook: IcSimulator for IC/WC dynamics,
 /// LtSimulator under LT.
-void BindSimulator(ScoreGreedy& driver, const Graph& graph,
+void BindSimulator(ScoreGreedy& greedy, const Graph& graph,
                    const InfluenceParams& params, bool linear_threshold) {
-  auto bind = [&driver](auto sim) {
-    driver.set_simulate_fn(
+  auto bind = [&greedy](auto sim) {
+    greedy.set_simulate_fn(
         [sim](NodeId seed, const EpochSet& blocked, Rng& rng,
               std::vector<NodeId>* out) {
           const NodeId seeds[] = {seed};

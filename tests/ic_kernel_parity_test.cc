@@ -126,7 +126,7 @@ void CheckParity(const Graph& graph, const InfluenceParams& params,
   IcSimulator sim(graph, params);
   ReferenceIc ref(graph, params);
   const NodeId n = graph.num_nodes();
-  Rng driver(seed);
+  Rng case_rng(seed);
   Rng kernel_rng(seed ^ 0xABCDEFULL);
   Rng ref_rng = kernel_rng;
   EpochSet blocked(n);
@@ -137,11 +137,11 @@ void CheckParity(const Graph& graph, const InfluenceParams& params,
     if (use_blocked && run % 5 == 0) {
       blocked.Reset(n);
       for (NodeId v = 0; v < n; ++v) {
-        if (driver.NextBounded(10) == 0) blocked.Insert(v);
+        if (case_rng.NextBounded(10) == 0) blocked.Insert(v);
       }
     }
-    std::vector<NodeId> seeds(1 + driver.NextBounded(4));
-    for (NodeId& s : seeds) s = static_cast<NodeId>(driver.NextBounded(n));
+    std::vector<NodeId> seeds(1 + case_rng.NextBounded(4));
+    for (NodeId& s : seeds) s = static_cast<NodeId>(case_rng.NextBounded(n));
     if (run % 3 == 0) seeds.push_back(seeds.front());  // duplicate seed
     const Cascade& got =
         use_blocked ? sim.RunWithBlocked(seeds, kernel_rng, blocked)
