@@ -1,14 +1,16 @@
 // Google-benchmark microbenchmarks for the hot kernels: EaSyIM / OSIM score
-// assignment, one IC simulation, and RR-set sampling. These support the
-// complexity contracts asserted in DESIGN.md (O(l(m+n)) score passes,
-// O(m+n) simulation).
+// assignment, one IC simulation, RR-set sampling, and the sketch oracle's
+// one-shot Estimate. These support the complexity contracts asserted in
+// DESIGN.md (O(l(m+n)) score passes, O(m+n) simulation).
 
 #include <benchmark/benchmark.h>
 
 #include "algo/easyim.h"
+#include "algo/heuristics.h"
 #include "algo/osim.h"
 #include "algo/rr_sets.h"
 #include "diffusion/independent_cascade.h"
+#include "diffusion/sketch_oracle.h"
 #include "graph/generators.h"
 #include "model/influence_params.h"
 #include "model/opinion_params.h"
@@ -183,6 +185,29 @@ void BM_IcSimulationBlocked(benchmark::State& state) {
   benchmark::DoNotOptimize(total);
 }
 BENCHMARK(BM_IcSimulationBlocked)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The holimd request shape: one-shot Estimate of k = 10 degree-discount
+// seeds over R = 64 worlds of a 2000-node social tenant. Arg: 0 = IC,
+// 1 = WC, 2 = LT.
+void BM_SketchEstimate(benchmark::State& state) {
+  const Graph graph = GenerateSocialGraph(2000, 6.0, 5).ValueOrDie();
+  const InfluenceParams params = state.range(0) == 0
+                                     ? MakeUniformIc(graph)
+                                 : state.range(0) == 1
+                                     ? MakeWeightedCascade(graph)
+                                     : MakeLinearThreshold(graph);
+  SketchOptions options;
+  options.num_snapshots = 64;
+  const SketchOracle oracle(graph, params, options);
+  DegreeDiscountSelector selector(graph, 0.1);
+  const std::vector<NodeId> seeds = selector.Select(10).ValueOrDie().seeds;
+  double total = 0.0;
+  for (auto _ : state) {
+    total += oracle.Estimate(seeds);
+  }
+  benchmark::DoNotOptimize(total);
+}
+BENCHMARK(BM_SketchEstimate)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_RrSetSampling(benchmark::State& state) {
   const Fixture& f = GetFixture(state.range(0));

@@ -203,54 +203,78 @@ std::conditional_t<kWeighted, double, int64_t> SketchOracle::SumReached(
     lane_state_.assign(n, 0);
     lane_pending_.assign(n, 0);
   }
+  uint64_t* const state = lane_state_.data();
+  uint64_t* const pending = lane_pending_.data();
   std::conditional_t<kWeighted, double, int64_t> total = 0;
-  auto credit = [&](uint64_t fresh, NodeId node) {
-    if constexpr (kWeighted) {
-      total += std::popcount(fresh) * weights[node];
-    } else {
-      total += std::popcount(fresh);
-    }
-  };
+  // FIFO worklist in queue_[0, qn): raw-indexed, so queue_ is grown to hold
+  // the seeds, and a whole row before the row is scanned.
+  if (queue_.size() < seeds.size()) queue_.resize(seeds.size());
   for (uint32_t g = 0; g < num_lane_groups_; ++g) {
     const uint64_t full = LaneMaskAll(g);
-    queue_.clear();     // worklist (pending_ words are the real frontier)
-    frontier_.clear();  // nodes whose state word must be re-zeroed
+    std::size_t qn = 0;
     for (NodeId seed : seeds) {
-      const uint64_t fresh = full & ~lane_state_[seed];
+      const uint64_t fresh = full & ~state[seed];
       if (fresh == 0) continue;  // duplicate seed
-      credit(fresh, seed);
-      if (lane_state_[seed] == 0) frontier_.push_back(seed);
-      lane_state_[seed] |= fresh;
-      if (lane_pending_[seed] == 0) queue_.push_back(seed);
-      lane_pending_[seed] |= fresh;
+      if constexpr (kWeighted) total += std::popcount(fresh) * weights[seed];
+      state[seed] |= fresh;
+      if (pending[seed] == 0) queue_[qn++] = seed;
+      pending[seed] |= fresh;
     }
     // FIFO walk: lanes arriving while a level drains aggregate in the
     // pending word and cost ONE rescan of v's union row, where LIFO would
-    // chase single lanes down long paths and rescan rows per wave.
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
+    // chase single lanes down long paths and rescan rows per wave. Every
+    // entry still has lanes pending when it is popped: a node is queued
+    // only while its pending word is zero.
+    for (std::size_t head = 0; head < qn; ++head) {
       const NodeId v = queue_[head];
-      const uint64_t active = lane_pending_[v];
-      if (active == 0) continue;  // drained by an earlier duplicate entry
-      lane_pending_[v] = 0;  // self-clearing: processing zeroes the word
-      if (head + 1 < queue_.size()) PrefetchLaneRow(g, queue_[head + 1]);
-      if (head + 2 < queue_.size()) PrefetchLaneOffsets(g, queue_[head + 2]);
+      const uint64_t active = pending[v];
+      pending[v] = 0;  // self-clearing: processing zeroes the word
+      if (head + 1 < qn) PrefetchLaneRow(g, queue_[head + 1]);
+      if (head + 2 < qn) PrefetchLaneOffsets(g, queue_[head + 2]);
       const LaneAdjacency adj = LaneTargets(g, v);
-      for (uint32_t j = 0; j < adj.size; ++j) {
-        if (j + kLanePrefetchDistance < adj.size) {
-          __builtin_prefetch(
-              &lane_state_[adj.targets[j + kLanePrefetchDistance]]);
-        }
-        const NodeId t = adj.targets[j];
-        const uint64_t fresh = adj.masks[j] & active & ~lane_state_[t];
-        if (fresh == 0) continue;
-        credit(fresh, t);
-        if (lane_state_[t] == 0) frontier_.push_back(t);
-        lane_state_[t] |= fresh;
-        if (lane_pending_[t] == 0) queue_.push_back(t);
-        lane_pending_[t] |= fresh;
+      if (queue_.size() < qn + adj.size) {
+        queue_.resize(std::max(queue_.size() * 2, qn + adj.size));
       }
+      NodeId* const queue = queue_.data();
+      // Branch-free row scan: every entry stores both words and writes its
+      // target into the next worklist slot, which is kept only when the
+      // target gains its first pending lane.
+      auto scan = [&](uint32_t j) {
+        const NodeId t = adj.targets[j];
+        const uint64_t old_state = state[t];
+        const uint64_t old_pending = pending[t];
+        const uint64_t fresh = adj.masks[j] & active & ~old_state;
+        if constexpr (kWeighted) {
+          // Only entries with fresh lanes pay the popcount call and add a
+          // term: the terms, in order, of a walk crediting fresh entries.
+          if (fresh != 0) total += std::popcount(fresh) * weights[t];
+        }
+        state[t] = old_state | fresh;
+        pending[t] = old_pending | fresh;
+        queue[qn] = t;
+        qn += (old_pending == 0) & (fresh != 0);
+      };
+      // Entries with a target kLanePrefetchDistance ahead prefetch its
+      // state word; the row's tail scans without.
+      const uint32_t ahead =
+          adj.size > kLanePrefetchDistance ? adj.size - kLanePrefetchDistance
+                                           : 0;
+      uint32_t j = 0;
+      for (; j < ahead; ++j) {
+        __builtin_prefetch(&state[adj.targets[j + kLanePrefetchDistance]]);
+        scan(j);
+      }
+      for (; j < adj.size; ++j) scan(j);
     }
-    for (NodeId t : frontier_) lane_state_[t] = 0;
+    // Every reached node was queued when it gained its first lane (pending
+    // is a subset of state), so one pass over the worklist counts each
+    // node's final lanes once and re-zeroes its word; repeat entries read
+    // an already-zeroed word.
+    for (std::size_t i = 0; i < qn; ++i) {
+      const NodeId t = queue_[i];
+      if constexpr (!kWeighted) total += std::popcount(state[t]);
+      state[t] = 0;
+    }
   }
   return total;
 }

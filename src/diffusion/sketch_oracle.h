@@ -81,9 +81,11 @@ struct SketchOptions {
 ///
 /// Frontier expansion evaluates 64 worlds per machine word:
 ///   fresh = live_mask[u -> v] & active[u] & ~activated[v]
-/// and reached counts are popcount-accumulated, so one pass over the union
-/// adjacency replaces up to 64 per-snapshot BFS walks. Groups are kept as
-/// SEPARATE union CSRs on purpose: a frontier wave usually carries lanes
+/// so one pass over the union adjacency replaces up to 64 per-snapshot BFS
+/// walks. The one-shot walk scans rows without a data-dependent branch or
+/// popcount and counts reached lanes once at the end, one popcount per
+/// worklist entry's final activated word (docs/ARCHITECTURE.md). Groups
+/// are kept as SEPARATE union CSRs on purpose: a frontier wave usually carries lanes
 /// of one group, and a per-group row costs 12 bytes/edge to scan, where a
 /// merged all-R row would pay G lane words per edge no matter how few
 /// groups the wave touches (measured ~2x slower end to end). Memory: per
@@ -419,7 +421,8 @@ class SketchOracle {
                            const InfluenceParams& new_params);
 
   /// Lane walk behind Estimate / EstimateWeighted: the reached count
-  /// over all lanes, or (kWeighted) the sum of popcount(fresh) * w(t).
+  /// over all lanes, or (kWeighted) the sum of popcount(fresh) * w(t) over
+  /// the entries with fresh lanes, in walk order.
   template <bool kWeighted>
   std::conditional_t<kWeighted, double, int64_t> SumReached(
       std::span<const NodeId> seeds, std::span<const double> weights) const;
@@ -445,8 +448,8 @@ class SketchOracle {
   // Reusable one-shot evaluation scratch (Estimate and the replay
   // estimators are single-caller; see class comment).
   mutable EpochSet visited_;
-  mutable std::vector<NodeId> queue_;
-  mutable std::vector<NodeId> frontier_;        // level/touch lists
+  mutable std::vector<NodeId> queue_;  // worklists; raw-indexed by SumReached
+  mutable std::vector<NodeId> frontier_;        // IC-N touch list
   mutable std::vector<uint64_t> lane_state_;    // activated words, n
   mutable std::vector<uint64_t> lane_pending_;  // frontier words, n
   mutable std::vector<uint64_t> lane_next_;     // next-level words, n

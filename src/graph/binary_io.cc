@@ -1,9 +1,12 @@
 #include "graph/binary_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "graph/graph_builder.h"
 
@@ -137,9 +140,15 @@ Result<GraphBundle> ReadGraphBundle(const std::string& path) {
     return Status::IOError("source/target arrays disagree (corrupt file)");
   }
 
-  GraphBundle bundle;
-  GraphBuilder builder(static_cast<NodeId>(n));
-  builder.set_deduplicate(false);  // was already deduped when written
+  // EdgeIds follow (src, dst) order. WriteGraphBundle stores edges in that
+  // order; other files are put in it here, stably, so duplicate pairs keep
+  // their file order and the per-edge arrays read below can follow their
+  // edges (file edge order[e] becomes EdgeId e).
+  const auto edge_less = [&](std::size_t a, std::size_t b) {
+    if (sources[a] != sources[b]) return sources[a] < sources[b];
+    return targets[a] < targets[b];
+  };
+  bool sorted = true;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     // GraphBuilder::Build would also reject these, but as a caller-bug
     // InvalidArgument; here an out-of-range endpoint means the file lied.
@@ -147,9 +156,31 @@ Result<GraphBundle> ReadGraphBundle(const std::string& path) {
       return Status::IOError("edge endpoint " + std::to_string(i) +
                              " out of node range (corrupt file)");
     }
+    if (i > 0 && edge_less(i, i - 1)) sorted = false;
+  }
+  std::vector<std::size_t> order;
+  if (!sorted) {
+    order.resize(sources.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::stable_sort(order, edge_less);
+  }
+
+  GraphBundle bundle;
+  GraphBuilder builder(static_cast<NodeId>(n));
+  builder.set_deduplicate(false);  // was already deduped when written
+  for (std::size_t e = 0; e < sources.size(); ++e) {
+    const std::size_t i = order.empty() ? e : order[e];
     builder.AddEdge(sources[i], targets[i]);
   }
   HOLIM_ASSIGN_OR_RETURN(bundle.graph, std::move(builder).Build());
+  const auto follow_edges = [&](std::vector<double>* values) {
+    if (order.empty() || values->empty()) return;
+    std::vector<double> by_edge(values->size());
+    for (std::size_t e = 0; e < order.size(); ++e) {
+      by_edge[e] = (*values)[order[e]];
+    }
+    *values = std::move(by_edge);
+  };
 
   const auto read_optional = [&](std::vector<double>* values,
                                  uint64_t expected, bool probability,
@@ -183,6 +214,8 @@ Result<GraphBundle> ReadGraphBundle(const std::string& path) {
                                     bundle.graph.num_edges(),
                                     /*probability=*/false,
                                     "edge interaction"));
+  follow_edges(&bundle.edge_probability);
+  follow_edges(&bundle.edge_interaction);
   // A well-formed bundle ends exactly here; trailing bytes mean the file
   // was concatenated, doubly written, or otherwise corrupt.
   uint8_t trailing = 0;

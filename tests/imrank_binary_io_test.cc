@@ -117,7 +117,9 @@ TEST(BinaryIoTest, RoundTripWithParameters) {
 /// parameter flags.
 void WriteRawBundle(const std::string& path, uint64_t n,
                     const std::vector<NodeId>& sources,
-                    const std::vector<NodeId>& targets) {
+                    const std::vector<NodeId>& targets,
+                    const std::vector<double>* probability = nullptr,
+                    const std::vector<double>* interaction = nullptr) {
   FILE* f = fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const uint64_t magic = 0x484F4C494D470101ULL;
@@ -128,8 +130,18 @@ void WriteRawBundle(const std::string& path, uint64_t n,
     fwrite(&count, sizeof(count), 1, f);
     fwrite(array->data(), sizeof(NodeId), count, f);
   }
-  const uint8_t absent = 0;
-  for (int i = 0; i < 3; ++i) fwrite(&absent, 1, 1, f);
+  // Optional arrays: edge probability, node opinion (never written here),
+  // edge interaction.
+  const std::vector<double>* const optional[] = {probability, nullptr,
+                                                 interaction};
+  for (const std::vector<double>* values : optional) {
+    const uint8_t present = values != nullptr;
+    fwrite(&present, 1, 1, f);
+    if (!present) continue;
+    const uint64_t count = values->size();
+    fwrite(&count, sizeof(count), 1, f);
+    fwrite(values->data(), sizeof(double), count, f);
+  }
   fclose(f);
 }
 
@@ -139,10 +151,25 @@ void WriteRawBundle(const std::string& path, uint64_t n,
 TEST(BinaryIoTest, UnsortedEdgeArraysLoadLikeSortedTwin) {
   const std::string sorted_path = "/tmp/holim_bundle_sorted.bin";
   const std::string unsorted_path = "/tmp/holim_bundle_unsorted.bin";
-  WriteRawBundle(sorted_path, 4, {0, 0, 1, 2, 3, 3}, {1, 2, 2, 0, 0, 1});
-  WriteRawBundle(unsorted_path, 4, {3, 1, 0, 3, 2, 0}, {1, 2, 2, 0, 0, 1});
-  const Graph sorted = ReadGraphBundle(sorted_path).ValueOrDie().graph;
-  const Graph unsorted = ReadGraphBundle(unsorted_path).ValueOrDie().graph;
+  // Distinct per-edge values, given per (src, dst) pair in each file's
+  // edge order: every value must land on its own edge.
+  const std::vector<double> sorted_p = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  const std::vector<double> unsorted_p = {0.6, 0.3, 0.2, 0.5, 0.4, 0.1};
+  const std::vector<double> sorted_phi = {-1, -2, -3, -4, -5, -6};
+  const std::vector<double> unsorted_phi = {-6, -3, -2, -5, -4, -1};
+  WriteRawBundle(sorted_path, 4, {0, 0, 1, 2, 3, 3}, {1, 2, 2, 0, 0, 1},
+                 &sorted_p, &sorted_phi);
+  WriteRawBundle(unsorted_path, 4, {3, 1, 0, 3, 2, 0}, {1, 2, 2, 0, 0, 1},
+                 &unsorted_p, &unsorted_phi);
+  const GraphBundle sorted_bundle = ReadGraphBundle(sorted_path).ValueOrDie();
+  const GraphBundle unsorted_bundle =
+      ReadGraphBundle(unsorted_path).ValueOrDie();
+  const Graph& sorted = sorted_bundle.graph;
+  const Graph& unsorted = unsorted_bundle.graph;
+  EXPECT_EQ(sorted_bundle.edge_probability, sorted_p);
+  EXPECT_EQ(sorted_bundle.edge_interaction, sorted_phi);
+  EXPECT_EQ(unsorted_bundle.edge_probability, sorted_p);
+  EXPECT_EQ(unsorted_bundle.edge_interaction, sorted_phi);
   ASSERT_EQ(sorted.num_edges(), 6u);
   ASSERT_EQ(unsorted.num_edges(), 6u);
   EXPECT_TRUE(std::ranges::equal(unsorted.OutOffsets(), sorted.OutOffsets()));
@@ -158,6 +185,22 @@ TEST(BinaryIoTest, UnsortedEdgeArraysLoadLikeSortedTwin) {
   }
   std::remove(sorted_path.c_str());
   std::remove(unsorted_path.c_str());
+}
+
+// Duplicate (src, dst) pairs (a dedup-off graph) keep their file order
+// when the loader sorts the edges, and so do their per-edge values.
+TEST(BinaryIoTest, UnsortedDuplicatePairsKeepFileOrder) {
+  const std::string path = "/tmp/holim_bundle_unsorted_dups.bin";
+  const std::vector<double> p = {0.7, 0.1, 0.8, 0.2};
+  const std::vector<double> phi = {7, 1, 8, 2};
+  WriteRawBundle(path, 2, {1, 0, 1, 0}, {0, 1, 0, 0}, &p, &phi);
+  const GraphBundle bundle = ReadGraphBundle(path).ValueOrDie();
+  ASSERT_EQ(bundle.graph.num_edges(), 4u);
+  EXPECT_TRUE(std::ranges::equal(bundle.graph.OutTargets(),
+                                 std::vector<NodeId>{0, 1, 0, 0}));
+  EXPECT_EQ(bundle.edge_probability, (std::vector<double>{0.2, 0.1, 0.7, 0.8}));
+  EXPECT_EQ(bundle.edge_interaction, (std::vector<double>{2, 1, 7, 8}));
+  std::remove(path.c_str());
 }
 
 TEST(BinaryIoTest, RejectsBadMagic) {
