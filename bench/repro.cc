@@ -6,6 +6,8 @@
 // Every figure prints a fixed-width table (the paper's rows/series) and
 // writes the same rows to results/<id>.csv. `bench_repro --help` lists the
 // ids; `--figure=<id> --help` lists that figure's flags and defaults.
+// Of --mc/--max_k/--seed a figure declares only those its row reads, and
+// an undeclared flag exits 2.
 //
 // Most figures are data: panels (dataset, shrink, model, opinion layer,
 // k cap) of selectors (Series) run by one k-grid runner, which either
@@ -131,6 +133,7 @@ struct Figure {
   const char* id;  // also the CSV stem: results/<id>.csv
   const char* title;
   double scale;                 // the figure's own --scale default
+  unsigned reads;               // CommonFlag bits: --mc/--max_k/--seed read
   double scale_cap = kNoCap;    // whole-figure cap on --scale
   CommonOptionsSpec options{};  // --oracle / --rescore
   std::vector<ExtraFlag> extra;
@@ -1011,7 +1014,7 @@ std::vector<Figure> Figures() {
   return {
       {.id = "fig2_model_comparison",
        .title = "Figure 2 — opinion spread under OI/OC/IC seed selection",
-       .scale = 0.2, .options = kOracle,
+       .scale = 0.2, .reads = kAllCommonFlags, .options = kOracle,
        .expected = "Expected shape (paper Fig. 2): OI >= OC >> IC at every k.",
        .kgrid = KGridSpec{
            {"dataset", "selector", "k", "opinion_spread"}, Layout::kBySeries,
@@ -1023,21 +1026,23 @@ std::vector<Figure> Figures() {
       {.id = "fig5a_twitter_groundtruth",
        .title = "Figure 5a — Twitter topics: model predictions vs "
                 "ground-truth opinion spread (k=originators)",
-       .scale = 0.2, .extra = {{"topics", 12, "number of topic subgraphs"}},
+       .scale = 0.2, .reads = kMcFlag | kSeedFlag,
+       .extra = {{"topics", 12, "number of topic subgraphs"}},
        .expected = "Expected shape (paper Fig. 5a): OI closest to ground "
                    "truth.",
        .run = Fig5a},
       {.id = "fig5b_twitter_rmse",
        .title = "Figure 5b — normalized RMSE (%) of opinion-spread "
                 "prediction vs seeds",
-       .scale = 0.2, .extra = {{"topics", 10, "number of topic subgraphs"}},
+       .scale = 0.2, .reads = kMcFlag | kSeedFlag,
+       .extra = {{"topics", 10, "number of topic subgraphs"}},
        .expected = "Expected shape (paper Fig. 5b): OI lowest error, IC "
                    "highest.",
        .run = Fig5b},
       {.id = "fig5c_twitter_spread",
        .title = "Figure 5c — opinion spread of OI/OC/IC-selected seeds on "
                 "the Twitter background graph",
-       .scale = 0.2, .options = kOracle,
+       .scale = 0.2, .reads = kAllCommonFlags, .options = kOracle,
        .expected = "Expected shape (paper Fig. 5c): OI > OC > IC.",
        .kgrid = KGridSpec{{"k", "OI", "OC", "IC"}, Layout::kWide, false,
                           {{.opinions = Opinions::kTwitterCorpus,
@@ -1045,12 +1050,12 @@ std::vector<Figure> Figures() {
       {.id = "fig5d_churn",
        .title = "Figure 5d — churn prevention: opinion spread of "
                 "OI/OC/IC-selected retention targets",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Fig. 5d): OI dominates OC and IC.",
        .run = Fig5d},
       {.id = "fig5e_lambda",
        .title = "Figure 5e — lambda=1 vs lambda=0 (penalty ablation)",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Fig. 5e): lambda=1 >= lambda=0 — "
                    "ignoring negative\nopinion during selection costs "
                    "spread.",
@@ -1061,7 +1066,7 @@ std::vector<Figure> Figures() {
       {.id = "fig5f_osim_quality",
        .title = "Figure 5f — OSIM l-sweep vs Modified-GREEDY: opinion "
                 "spread vs seeds (OI, NetHEPT)",
-       .scale = 0.05,
+       .scale = 0.05, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Fig. 5f): spread improves with l "
                    "up to l=3 and OSIM\nclosely tracks Modified-GREEDY.",
        .kgrid = KGridSpec{
@@ -1076,7 +1081,7 @@ std::vector<Figure> Figures() {
       {.id = "fig5g_osim_time",
        .title = "Figure 5g — OSIM vs Modified-GREEDY selection time vs "
                 "seeds (OI, NetHEPT)",
-       .scale = 0.05, .options = kRescoreFull,
+       .scale = 0.05, .reads = kAllCommonFlags, .options = kRescoreFull,
        .expected = "Expected shape (paper Fig. 5g): OSIM linear in k and "
                    "l; Modified-GREEDY\norders of magnitude slower.",
        .kgrid = KGridSpec{
@@ -1090,14 +1095,14 @@ std::vector<Figure> Figures() {
       {.id = "fig5h_osim_memory",
        .title = "Figure 5h — OSIM vs Modified-GREEDY memory on the medium "
                 "datasets (k=100 scaled)",
-       .scale = 0.2, .scale_cap = 0.05,
+       .scale = 0.2, .reads = kSeedFlag, .scale_cap = 0.05,
        .expected = "Expected shape (paper Fig. 5h): execution memory is a "
                    "small constant\noverhead above graph loading for both "
                    "algorithms.",
        .run = Fig5h},
       {.id = "fig6abc_easyim_lsweep",
        .title = "Figures 6a-6c — EaSyIM path-length sweep",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Figs. 6a-6c): spread grows with l "
                    "and saturates\naround l=3..5; l->diameter dips from "
                    "cyclic error.",
@@ -1116,7 +1121,7 @@ std::vector<Figure> Figures() {
              .series = LSweep("easyim", "", {1, 2, 3, 5, 7, 10})}}}},
       {.id = "fig6de_spread_comparison",
        .title = "Figures 6d-6e — EaSyIM vs TIM+ vs CELF++ spread (IC)",
-       .scale = 0.05, .options = kOracle,
+       .scale = 0.05, .reads = kAllCommonFlags, .options = kOracle,
        .expected = "Expected shape (paper Figs. 6d-6e): all methods within "
                    "a few percent of\neach other; EaSyIM mirrors the state "
                    "of the art.",
@@ -1130,7 +1135,8 @@ std::vector<Figure> Figures() {
       {.id = "fig6fgh_time_comparison",
        .title = "Figures 6f-6h — EaSyIM vs CELF++/TIM+ running time vs "
                 "seeds",
-       .scale = 0.01, .options = kRescoreFull,
+       .scale = 0.01, .reads = kMaxKFlag | kSeedFlag,
+       .options = kRescoreFull,
        .expected = "Expected shape (paper Figs. 6f-6h): EaSyIM time linear "
                    "in l and k; CELF++\nslowest by orders of magnitude; "
                    "TIM+ fast but see Fig. 6i for its memory.",
@@ -1145,19 +1151,20 @@ std::vector<Figure> Figures() {
             panel("6h", "YouTube", kWC, 0.05, easy_tim)}}},
       {.id = "fig6i_memory_growth",
        .title = "Figure 6i — memory vs seeds (IC)", .scale = 0.01,
+       .reads = kMaxKFlag | kSeedFlag,
        .expected = "Expected shape (paper Fig. 6i): EaSyIM smallest (~500x "
                    "less than TIM+);\nTIM+ grows fastest with k via theta.",
        .run = Fig6i},
       {.id = "fig6j_memory_overhead",
        .title = "Figure 6j — execution memory overhead (k=100 scaled)",
-       .scale = 0.01,
+       .scale = 0.01, .reads = 0,
        .expected = "Expected shape (paper Fig. 6j): EaSyIM least overhead, "
                    "SIMPATH highest\namong the heuristics; TIM+ omitted "
                    "(off the chart, see Fig. 6i).",
        .run = Fig6j},
       {.id = "fig7a_lambda_large",
        .title = "Figure 7a — lambda=1 vs lambda=0 on DBLP/YouTube",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Fig. 7a): lambda=1 >= lambda=0.",
        .kgrid = KGridSpec{
            {"dataset", "k", "lambda1", "lambda0"}, Layout::kWide, false,
@@ -1166,7 +1173,7 @@ std::vector<Figure> Figures() {
       {.id = "fig7bc_osim_lsweep",
        .title = "Figures 7b-7c — OSIM l-sweep (OC on HepPh, OI on "
                 "DBLP/YouTube)",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Expected shape (paper Figs. 7b-7c): spread grows with "
                    "l, best around l=3;\nOSIM tracks GREEDY on HepPh.",
        .kgrid = KGridSpec{
@@ -1188,7 +1195,7 @@ std::vector<Figure> Figures() {
              .series = osim_sweep}}}},
       {.id = "fig7de_heuristic_spread",
        .title = "Figures 7d-7e — EaSyIM vs SIMPATH/IRIE spread",
-       .scale = 0.01, .options = kOracle,
+       .scale = 0.01, .reads = kAllCommonFlags, .options = kOracle,
        .expected = "Expected shape (paper Figs. 7d-7e): EaSyIM matches the "
                    "specialist\nheuristics' spread on their home models.",
        .kgrid = KGridSpec{
@@ -1201,7 +1208,7 @@ std::vector<Figure> Figures() {
       {.id = "fig7fg_osim_time_large",
        .title = "Figures 7f-7g — OSIM time vs seeds (OC on HepPh, OI on "
                 "DBLP/YouTube)",
-       .scale = 0.2, .options = kRescoreFull,
+       .scale = 0.2, .reads = kMaxKFlag | kSeedFlag, .options = kRescoreFull,
        .expected = "Expected shape (paper Figs. 7f-7g): time linear in l "
                    "and k; Modified-GREEDY\noff the chart.",
        .kgrid = KGridSpec{
@@ -1223,7 +1230,7 @@ std::vector<Figure> Figures() {
       {.id = "fig7hi_heuristic_time",
        .title = "Figures 7h-7i — EaSyIM vs IRIE (WC) / SIMPATH (LT) "
                 "running time",
-       .scale = 0.01,
+       .scale = 0.01, .reads = kMaxKFlag,
        .expected = "Expected shape (paper Figs. 7h-7i): EaSyIM 2-6x faster "
                    "than IRIE;\nSIMPATH competitive only on the smallest "
                    "datasets.",
@@ -1231,7 +1238,7 @@ std::vector<Figure> Figures() {
                           Layout::kByK, true, fig7hi}},
       {.id = "fig7j_large_memory",
        .title = "Figure 7j — EaSyIM memory on the large datasets (k=100)",
-       .scale = 0.002,
+       .scale = 0.002, .reads = 0,
        .expected = "Expected shape (paper Fig. 7j): execution memory stays "
                    "a vanishing\nfraction of graph memory — billion-edge "
                    "feasible.",
@@ -1239,10 +1246,10 @@ std::vector<Figure> Figures() {
       {.id = "table2_datasets",
        .title = "Table 2 — datasets: paper shape vs synthetic stand-in (at "
                 "--scale)",
-       .scale = 0.2, .run = Table2},
+       .scale = 0.2, .reads = kSeedFlag, .run = Table2},
       {.id = "table3_easyim_vs_tim",
        .title = "Table 3 — EaSyIM(l=1) vs TIM+ (k=50, eps=0.1)",
-       .scale = 0.005,
+       .scale = 0.005, .reads = 0,
        .extra = {{"tim_theta_cap", 2'000'000,
                   "RR-set cap emulating the RAM budget"}},
        .expected = "Expected shape (paper Table 3): TIM+ faster where it "
@@ -1252,7 +1259,7 @@ std::vector<Figure> Figures() {
        .run = Table3},
       {.id = "table4_easyim_vs_celf",
        .title = "Table 4 — EaSyIM(l=1) vs CELF++ (k=100 scaled)",
-       .scale = 0.01, .options = kOracle,
+       .scale = 0.01, .reads = kSeedFlag, .options = kOracle,
        .extra = {{"celf_budget", 2'000'000,
                   "evaluation budget emulating the paper's 7-day timeout "
                   "(MC oracle only)"}},
@@ -1261,7 +1268,7 @@ std::vector<Figure> Figures() {
        .run = Table4},
       {.id = "ablation_activation",
        .title = "Ablation — ScoreGREEDY activated-set strategy",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kMcFlag | kSeedFlag,
        .expected = "Reading: seeds-only is fastest but risks redundant "
                    "seeds in one region;\nmc-majority (default) trades a "
                    "little time for better dispersion;\nexpected-reach is "
@@ -1269,7 +1276,7 @@ std::vector<Figure> Figures() {
        .run = AblationActivation},
       {.id = "ablation_baselines",
        .title = "Ablation — baseline panorama (NetHEPT, IC)",
-       .scale = 0.2,
+       .scale = 0.2, .reads = kAllCommonFlags,
        .expected = "Reading: EaSyIM should match StaticGreedy/IMM quality "
                    "while beating\nASIM (probability-blind) and the degree "
                    "heuristics.",
@@ -1288,7 +1295,8 @@ std::vector<Figure> Figures() {
                         {.algorithm = "random"}}}}}},
       {.id = "ablation_icn_model",
        .title = "Ablation — cross-model robustness (OI vs IC-N)",
-       .scale = 0.2, .scale_cap = 0.05, .options = kOracle,
+       .scale = 0.2, .reads = kAllCommonFlags, .scale_cap = 0.05,
+       .options = kOracle,
        .extra = {{"quality", 0.8, "IC-N quality factor q"}},
        .expected = "Reading: each row's own-model column should win its "
                    "column; IC-N seeds\nare opinion-blind, so their OI "
@@ -1358,7 +1366,7 @@ int main(int argc, char** argv) {
   args.Declare("figure", "which figure or table to reproduce");
   CommonBenchConfig defaults;
   defaults.scale = fig->scale;
-  DeclareCommonFlags(&args, defaults, ScaleNote(*fig));
+  DeclareCommonFlags(&args, defaults, ScaleNote(*fig), fig->reads);
   DeclareCommonOptions(&args, fig->options);
   for (const ExtraFlag& flag : fig->extra) {
     args.Declare(flag.name, std::string(flag.help) + " (default " +

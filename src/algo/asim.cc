@@ -57,9 +57,8 @@ Result<SeedSelection> AsimSelector::Select(uint32_t k) {
   options.activation = ActivationStrategy::kExpectedReach;
   ScoreGreedy driver(
       graph_,
-      [this](const EpochSet& excluded, std::vector<double>* scores) {
-        AssignScores(excluded, scores);
-      },
+      [this](const EpochSet& excluded, const std::vector<NodeId>*,
+             std::vector<double>* scores) { AssignScores(excluded, scores); },
       options);
   driver.set_edge_probability(&params_.probability);
   driver.set_max_hops(options_.l);

@@ -1,11 +1,10 @@
 #include "algo/celf.h"
 
-#include <limits>
 #include <queue>
+#include <span>
 #include <vector>
 
-#include "util/memory.h"
-#include "util/timer.h"
+#include "algo/hill_climb.h"
 
 namespace holim {
 
@@ -24,38 +23,61 @@ struct HeapEntry {
   }
 };
 
-// Heap entry of the incremental-session path. Unlike the MC path (whose
-// unspecified tie order is part of its frozen byte-identical behavior),
-// ties break toward the smaller node id so that session CELF provably
-// picks the same seeds as eager greedy over the same frozen snapshots
-// (gains there are exactly submodular, so equal-gain candidates are
-// interchangeable except for this ordering).
-struct SessionHeapEntry {
-  NodeId node;
-  double gain;
-  uint32_t round;
+/// The lazy benefit-per-cost loop behind the session Select (unit costs,
+/// budget k) and SelectBudgeted: a heap keyed on gain / cost, so with unit
+/// costs the ratio IS the gain bit for bit. Ties break toward the smaller
+/// node id, as the eager loop's ascending strict-`>` scan does, so over
+/// exactly submodular session gains lazy and eager pick the same seeds.
+/// Stale ratios are upper bounds (gains only shrink as S grows; costs are
+/// fixed), so an entry measured this round is the round's best; a popped
+/// candidate over the residual budget can never fit later and is dropped.
+/// With fewer than k seeds a budget of k leaves >= 1.0, so the drop rule
+/// cannot fire on a top-k run.
+void LazyRatioClimb(HillClimbGains& gains, std::span<const double> costs,
+                    double budget, uint32_t max_seeds, Deadline* deadline,
+                    SeedSelection* selection) {
+  struct Entry {
+    NodeId node;
+    double ratio;    // gain / cost at round `round`
+    double gain;     // the marginal gain behind it (reported as the score)
+    uint32_t round;  // seed count when `gain` was measured
 
-  bool operator<(const SessionHeapEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;
-    return node > other.node;  // smaller id pops first on ties
+    bool operator<(const Entry& other) const {
+      if (ratio != other.ratio) return ratio < other.ratio;
+      return node > other.node;  // smaller id pops first on ties
+    }
+  };
+  if (DeadlineExpired(deadline, selection)) return;
+  std::priority_queue<Entry> heap;
+  for (NodeId u = 0; u < costs.size(); ++u) {
+    const double gain = gains.Gain(u);
+    heap.push({u, gain / costs[u], gain, 0});
   }
-};
-
-// Heap entry of the budgeted (benefit-per-cost) loop: ordered by ratio
-// with the session path's smaller-id tie-break, so with unit costs the
-// ratio equals the gain bitwise and the pop sequence reproduces the
-// session Select heap exactly.
-struct BudgetHeapEntry {
-  NodeId node;
-  double ratio;   // gain / cost at round `round`
-  double gain;    // marginal gain backing the ratio (reported as score)
-  uint32_t round;
-
-  bool operator<(const BudgetHeapEntry& other) const {
-    if (ratio != other.ratio) return ratio < other.ratio;
-    return node > other.node;  // smaller id pops first on ties
+  double remaining = budget;
+  uint32_t checked_round = 0;  // the pre-pass check covers round 0
+  while (selection->seeds.size() < max_seeds && !heap.empty()) {
+    const uint32_t round = static_cast<uint32_t>(selection->seeds.size());
+    if (round != checked_round) {
+      checked_round = round;
+      if (DeadlineExpired(deadline, selection)) break;
+    }
+    if (!gains.session() && StoppedMidRound(deadline, selection)) break;
+    Entry top = heap.top();
+    heap.pop();
+    if (costs[top.node] > remaining) continue;  // drop: can never fit
+    if (top.round == round) {
+      gains.Commit(top.node, top.gain);
+      remaining -= costs[top.node];
+      selection->seeds.push_back(top.node);
+      selection->seed_scores.push_back(top.gain);
+      continue;
+    }
+    top.gain = gains.Gain(top.node);
+    top.ratio = top.gain / costs[top.node];
+    top.round = round;
+    heap.push(top);
   }
-};
+}
 
 }  // namespace
 
@@ -73,57 +95,24 @@ Result<SeedSelection> CelfSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   evaluations_ = 0;
 
-  if (objective_->StartSession()) {
-    // Incremental path (sketch-backed objectives): the same lazy-forward
-    // loop, but every marginal gain is an incremental session probe and
-    // selecting a seed commits its frontier once. The CELF++ double-gain
-    // cache is pointless here — a session re-evaluation costs no more
-    // than the cache lookup's bookkeeping — so `plus_plus_` is ignored.
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      selection.elapsed_seconds = timer.ElapsedSeconds();
-      selection.overhead_bytes = meter.OverheadBytes();
-      return selection;
-    }
-    std::priority_queue<SessionHeapEntry> heap;
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      ++evaluations_;
-      heap.push({u, objective_->SessionMarginalGain(u), 0});
-    }
-    uint32_t checked_round = 0;  // the pre-pass check covers round 0
-    while (selection.seeds.size() < k && !heap.empty()) {
-      const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-      if (deadline_ && round != checked_round) {
-        checked_round = round;
-        if (!deadline_->Check().ok()) {
-          selection.degraded = true;
-          selection.stop_status = deadline_->status();
-          break;
-        }
-      }
-      SessionHeapEntry top = heap.top();
-      heap.pop();
-      if (top.round == round) {
-        objective_->SessionCommit(top.node);
-        selection.seeds.push_back(top.node);
-        selection.seed_scores.push_back(top.gain);
-        continue;
-      }
-      ++evaluations_;
-      top.gain = objective_->SessionMarginalGain(top.node);
-      top.round = round;
-      heap.push(top);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+  HillClimbGains gains(*objective_);
+  if (gains.session()) {
+    // Incremental path (sketch-backed objectives): the lazy ratio loop
+    // with unit costs and budget k. The CELF++ double-gain cache is
+    // pointless here — a session re-evaluation costs no more than the
+    // cache lookup's bookkeeping — so `plus_plus_` is ignored.
+    const std::vector<double> unit(graph_.num_nodes(), 1.0);
+    LazyRatioClimb(gains, unit, k, k, deadline_, &selection);
+    evaluations_ = gains.evaluations();
+    return meter.Finish(std::move(selection));
   }
 
+  // Monte-Carlo CELF / CELF++: its heap orders by gain alone (ties in the
+  // heap's own unspecified order) and CELF++ caches a second gain per
+  // entry, both frozen byte-identical behavior, so it keeps its own loop.
   std::vector<NodeId> trial;
   auto evaluate = [&](const std::vector<NodeId>& seeds) {
     ++evaluations_;
@@ -131,12 +120,8 @@ Result<SeedSelection> CelfSelector::Select(uint32_t k) {
   };
 
   // Initial pass: marginal gain of every singleton.
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+  if (DeadlineExpired(deadline_, &selection)) {
+    return meter.Finish(std::move(selection));
   }
   std::priority_queue<HeapEntry> heap;
   trial.assign(1, 0);
@@ -153,23 +138,11 @@ Result<SeedSelection> CelfSelector::Select(uint32_t k) {
   uint32_t checked_round = 0;  // the pre-pass check covers round 0
   while (selection.seeds.size() < k && !heap.empty()) {
     const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
+    if (round != checked_round) {
       checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
+      if (DeadlineExpired(deadline_, &selection)) break;
     }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Expiry mid-round (wall clock or cancellation): gains evaluated
-      // after it rest on partial MC block sums, so stop before one of
-      // them can reach the commit branch. Never reached in work-budget
-      // mode (expiry only lands at the per-round Check above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
+    if (StoppedMidRound(deadline_, &selection)) break;
     HeapEntry top = heap.top();
     heap.pop();
     if (top.round == round) {
@@ -211,10 +184,7 @@ Result<SeedSelection> CelfSelector::Select(uint32_t k) {
     }
     heap.push(top);
   }
-
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 Result<SeedSelection> CelfSelector::SelectBudgeted(
@@ -227,121 +197,15 @@ Result<SeedSelection> CelfSelector::SelectBudgeted(
     return Status::InvalidArgument("budget must be positive");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
-  evaluations_ = 0;
-  double remaining = budget;
-
-  if (objective_->StartSession()) {
-    // Lazy benefit-per-cost loop over session probes. Stale ratios are
-    // upper bounds (submodular gains over the frozen snapshots; costs are
-    // fixed), so the lazy skip logic carries over from Select unchanged.
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      selection.elapsed_seconds = timer.ElapsedSeconds();
-      selection.overhead_bytes = meter.OverheadBytes();
-      return selection;
-    }
-    std::priority_queue<BudgetHeapEntry> heap;
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      ++evaluations_;
-      const double gain = objective_->SessionMarginalGain(u);
-      heap.push({u, gain / costs[u], gain, 0});
-    }
-    uint32_t checked_round = 0;  // the pre-pass check covers round 0
-    while (selection.seeds.size() < max_seeds && !heap.empty()) {
-      const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-      if (deadline_ && round != checked_round) {
-        checked_round = round;
-        if (!deadline_->Check().ok()) {
-          selection.degraded = true;
-          selection.stop_status = deadline_->status();
-          break;
-        }
-      }
-      BudgetHeapEntry top = heap.top();
-      heap.pop();
-      if (costs[top.node] > remaining) continue;  // drop: can never fit
-      if (top.round == round) {
-        objective_->SessionCommit(top.node);
-        remaining -= costs[top.node];
-        selection.seeds.push_back(top.node);
-        selection.seed_scores.push_back(top.gain);
-        continue;
-      }
-      ++evaluations_;
-      top.gain = objective_->SessionMarginalGain(top.node);
-      top.ratio = top.gain / costs[top.node];
-      top.round = round;
-      heap.push(top);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-
-  // Monte-Carlo objective: the same lazy ratio loop over whole-set
-  // Evaluate calls (no CELF++ double-gain cache — the budgeted pop order
-  // depends on costs, so the "likely next best" prediction it rests on
-  // doesn't carry over).
-  std::vector<NodeId> trial;
-  auto evaluate = [&](const std::vector<NodeId>& seeds) {
-    ++evaluations_;
-    return objective_->Evaluate(seeds);
-  };
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  std::priority_queue<BudgetHeapEntry> heap;
-  trial.assign(1, 0);
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    trial[0] = u;
-    const double gain = evaluate(trial);
-    heap.push({u, gain / costs[u], gain, 0});
-  }
-  double current_value = 0.0;
-  uint32_t checked_round = 0;  // the pre-pass check covers round 0
-  while (selection.seeds.size() < max_seeds && !heap.empty()) {
-    const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
-      checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Same mid-round discard as Select's MC loop (see above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    BudgetHeapEntry top = heap.top();
-    heap.pop();
-    if (costs[top.node] > remaining) continue;  // drop: can never fit
-    if (top.round == round) {
-      remaining -= costs[top.node];
-      selection.seeds.push_back(top.node);
-      selection.seed_scores.push_back(top.gain);
-      current_value += top.gain;
-      continue;
-    }
-    trial = selection.seeds;
-    trial.push_back(top.node);
-    top.gain = evaluate(trial) - current_value;
-    top.ratio = top.gain / costs[top.node];
-    top.round = round;
-    heap.push(top);
-  }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  SelectionMeter meter;
+  // Session probes or, for a Monte-Carlo objective, whole-set Evaluate
+  // calls. No CELF++ double-gain cache: the budgeted pop order depends on
+  // costs, so the "likely next best" prediction it rests on doesn't carry
+  // over.
+  HillClimbGains gains(*objective_);
+  LazyRatioClimb(gains, costs, budget, max_seeds, deadline_, &selection);
+  evaluations_ = gains.evaluations();
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

@@ -24,13 +24,16 @@ namespace holim {
 /// heuristic rather than exact — matching how the paper deploys greedy
 /// baselines in the opinion-aware setting.
 ///
-/// When the objective supports an incremental session (McObjective's
-/// session API; SketchSpreadObjective), Select runs the same lazy loop
-/// through SessionMarginalGain/SessionCommit: gains on the frozen
-/// snapshot sample are exactly submodular, ties break toward the smaller
-/// node id, and the CELF++ double-gain cache is skipped (a session
-/// re-evaluation is already near-O(touched)). The Monte-Carlo path is
-/// byte-identical to its pre-session behavior.
+/// One lazy benefit-per-cost loop (celf.cc) runs SelectBudgeted over a
+/// session or Monte-Carlo (HillClimbGains) and, with unit costs and
+/// budget k, Select over an incremental session (McObjective's session
+/// API; SketchSpreadObjective): gains on the frozen snapshot sample are
+/// exactly submodular, ties break toward the smaller node id, and the
+/// CELF++ double-gain cache is skipped (a session re-evaluation is
+/// already near-O(touched)). Select over Monte-Carlo keeps its own loop,
+/// byte-identical to its pre-session behavior: a gain-only heap order
+/// and the CELF++ cache (docs/ARCHITECTURE.md, "Hill-climbing
+/// selectors").
 class CelfSelector : public SeedSelector {
  public:
   /// `plus_plus` toggles the CELF++ double-gain optimization.
@@ -40,7 +43,7 @@ class CelfSelector : public SeedSelector {
   std::string name() const override { return name_; }
   Result<SeedSelection> Select(uint32_t k) override;
 
-  /// Budgeted lazy greedy (QueryKind::kBudgeted): the CELF loop keyed on
+  /// Budgeted lazy greedy (QueryKind::kBudgeted): the lazy loop keyed on
   /// the benefit-per-cost ratio gain(u)/cost(u), with the classic
   /// drop-when-over-budget heap discipline — a popped candidate whose cost
   /// exceeds the residual budget is discarded permanently (its gain only

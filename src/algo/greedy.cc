@@ -1,9 +1,10 @@
 #include "algo/greedy.h"
 
 #include <limits>
+#include <span>
+#include <vector>
 
-#include "util/memory.h"
-#include "util/timer.h"
+#include "algo/hill_climb.h"
 
 namespace holim {
 
@@ -62,6 +63,48 @@ double SketchSpreadObjective::SessionCommit(NodeId u) {
   return session_.Commit(u);
 }
 
+namespace {
+
+/// The eager benefit-per-cost loop behind the session Select (unit costs,
+/// budget k) and SelectBudgeted: each round probes every affordable
+/// unchosen candidate in ascending id and commits the first strict best
+/// gain / cost. With unit costs the ratio IS the gain bit for bit and a
+/// budget of k never filters a candidate, so top-k is this loop's
+/// uniform-cost case.
+void EagerRatioClimb(HillClimbGains& gains, std::span<const double> costs,
+                     double budget, uint32_t max_seeds, Deadline* deadline,
+                     SeedSelection* selection) {
+  std::vector<char> chosen(costs.size(), 0);
+  double remaining = budget;
+  while (selection->seeds.size() < max_seeds) {
+    if (DeadlineExpired(deadline, selection)) break;
+    NodeId best = kInvalidNode;
+    double best_ratio = -std::numeric_limits<double>::infinity();
+    double best_gain = 0.0;
+    double best_value = 0.0;
+    for (NodeId u = 0; u < costs.size(); ++u) {
+      if (chosen[u] || costs[u] > remaining) continue;
+      const double gain = gains.Gain(u);
+      const double ratio = gain / costs[u];
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best_gain = gain;
+        best_value = gains.value();
+        best = u;
+      }
+    }
+    if (!gains.session() && StoppedMidRound(deadline, selection)) break;
+    if (best == kInvalidNode) break;  // nothing fits the residual budget
+    gains.CommitMeasured(best, best_value);
+    chosen[best] = 1;
+    remaining -= costs[best];
+    selection->seeds.push_back(best);
+    selection->seed_scores.push_back(best_gain);
+  }
+}
+
+}  // namespace
+
 GreedySelector::GreedySelector(const Graph& graph,
                                std::shared_ptr<McObjective> objective,
                                std::string name)
@@ -73,48 +116,24 @@ Result<SeedSelection> GreedySelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
-  std::vector<char> chosen(graph_.num_nodes(), 0);
-  if (objective_->StartSession()) {
-    // Incremental path (sketch-backed objectives): identical hill-climb —
-    // scan candidates in ascending id, strict improvement — but each
-    // marginal gain is an incremental session probe instead of a whole-set
-    // re-evaluation, and the winner's frontier is committed once.
-    for (uint32_t i = 0; i < k; ++i) {
-      if (deadline_ && !deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-      NodeId best = kInvalidNode;
-      double best_gain = -std::numeric_limits<double>::infinity();
-      for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-        if (chosen[u]) continue;
-        const double gain = objective_->SessionMarginalGain(u);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = u;
-        }
-      }
-      if (best == kInvalidNode) break;
-      objective_->SessionCommit(best);
-      chosen[best] = 1;
-      selection.seeds.push_back(best);
-      selection.seed_scores.push_back(best_gain);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+  SelectionMeter meter;
+  HillClimbGains gains(*objective_);
+  if (gains.session()) {
+    // Incremental path (sketch-backed objectives): the eager ratio loop
+    // with unit costs and budget k, each gain an incremental session probe
+    // and the winner's frontier committed once.
+    const std::vector<double> unit(graph_.num_nodes(), 1.0);
+    EagerRatioClimb(gains, unit, k, k, deadline_, &selection);
+    return meter.Finish(std::move(selection));
   }
+  // Monte-Carlo GREEDY: the argmax of the whole-set value f(S + u), scored
+  // f(S + u) - f(S). That arithmetic is frozen byte-identical behavior and
+  // differs from the eager loop's gain comparison, so it keeps its loop.
+  std::vector<char> chosen(graph_.num_nodes(), 0);
   double current_value = 0.0;
   std::vector<NodeId> trial;
   for (uint32_t i = 0; i < k; ++i) {
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      break;
-    }
+    if (DeadlineExpired(deadline_, &selection)) break;
     NodeId best = kInvalidNode;
     double best_value = -std::numeric_limits<double>::infinity();
     trial = selection.seeds;
@@ -128,24 +147,14 @@ Result<SeedSelection> GreedySelector::Select(uint32_t k) {
         best = u;
       }
     }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Expiry mid-round (wall clock or cancellation) leaves partial MC
-      // estimates behind this round's scores; discard the round instead of
-      // committing a seed scored on them. Never reached in work-budget
-      // mode, where expiry only lands at the round-top Check.
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
+    if (StoppedMidRound(deadline_, &selection)) break;
     if (best == kInvalidNode) break;
     chosen[best] = 1;
     selection.seeds.push_back(best);
     selection.seed_scores.push_back(best_value - current_value);
     current_value = best_value;
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 Result<SeedSelection> GreedySelector::SelectBudgeted(
@@ -158,86 +167,10 @@ Result<SeedSelection> GreedySelector::SelectBudgeted(
     return Status::InvalidArgument("budget must be positive");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
-  std::vector<char> chosen(graph_.num_nodes(), 0);
-  double remaining = budget;
-  if (objective_->StartSession()) {
-    // Eager benefit-per-cost rounds: every affordable candidate is probed
-    // each round — the evaluate-everything reference for the lazy CELF
-    // path. With unit costs and budget == k each round degenerates to
-    // Select's hill-climb (gain / 1.0 == gain, same ascending-id strict->
-    // scan), which is the uniform-cost parity contract.
-    while (selection.seeds.size() < max_seeds) {
-      if (deadline_ && !deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
-      NodeId best = kInvalidNode;
-      double best_ratio = -std::numeric_limits<double>::infinity();
-      double best_gain = 0.0;
-      for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-        if (chosen[u] || costs[u] > remaining) continue;
-        const double gain = objective_->SessionMarginalGain(u);
-        const double ratio = gain / costs[u];
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best_gain = gain;
-          best = u;
-        }
-      }
-      if (best == kInvalidNode) break;  // nothing fits the residual budget
-      objective_->SessionCommit(best);
-      chosen[best] = 1;
-      remaining -= costs[best];
-      selection.seeds.push_back(best);
-      selection.seed_scores.push_back(best_gain);
-    }
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
-  }
-  double current_value = 0.0;
-  std::vector<NodeId> trial;
-  while (selection.seeds.size() < max_seeds) {
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      break;
-    }
-    NodeId best = kInvalidNode;
-    double best_ratio = -std::numeric_limits<double>::infinity();
-    double best_value = 0.0;
-    trial = selection.seeds;
-    trial.push_back(0);  // placeholder slot for the candidate
-    for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-      if (chosen[u] || costs[u] > remaining) continue;
-      trial.back() = u;
-      const double value = objective_->Evaluate(trial);
-      const double ratio = (value - current_value) / costs[u];
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_value = value;
-        best = u;
-      }
-    }
-    if (deadline_ && deadline_->StopRequested()) {
-      // Same mid-round discard as Select's MC path (see above).
-      selection.degraded = true;
-      selection.stop_status = deadline_->Check();
-      break;
-    }
-    if (best == kInvalidNode) break;
-    chosen[best] = 1;
-    remaining -= costs[best];
-    selection.seeds.push_back(best);
-    selection.seed_scores.push_back(best_value - current_value);
-    current_value = best_value;
-  }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  SelectionMeter meter;
+  HillClimbGains gains(*objective_);
+  EagerRatioClimb(gains, costs, budget, max_seeds, deadline_, &selection);
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

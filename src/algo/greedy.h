@@ -125,6 +125,13 @@ class SketchSpreadObjective : public McObjective {
 ///
 /// With an EffectiveOpinionObjective this is exactly the paper's
 /// Modified-GREEDY (Appendix A, Algorithm 6).
+///
+/// One eager benefit-per-cost loop (greedy.cc) runs SelectBudgeted over
+/// a session or Monte-Carlo (HillClimbGains) and, with unit costs and
+/// budget k, Select over an incremental session. Select over Monte-Carlo
+/// keeps its own loop: the argmax of the whole-set value f(S + u) rather
+/// than of the gain, byte-identical to its pre-session behavior
+/// (docs/ARCHITECTURE.md, "Hill-climbing selectors").
 class GreedySelector : public SeedSelector {
  public:
   GreedySelector(const Graph& graph, std::shared_ptr<McObjective> objective,

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "algo/tim_plus.h"  // LogNChooseK
-#include "util/memory.h"
-#include "util/timer.h"
 
 namespace holim {
 
@@ -25,8 +23,7 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   Rng rng(options_.seed);
   stats_ = RunStats{};
 
@@ -53,11 +50,8 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
   auto degrade = [&]() -> Result<SeedSelection> {
     selection.seeds.clear();
     selection.seed_scores.clear();
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+    MarkDegraded(*deadline_, &selection);
+    return meter.Finish(std::move(selection));
   };
 
   RrCollection rr(graph_, params_);
@@ -114,12 +108,9 @@ Result<SeedSelection> ImmSelector::Select(uint32_t k) {
   selection.seeds = std::move(coverage.seeds);
   if (coverage.deadline_hit) {
     // Committed prefix seeds are valid greedy max-coverage output.
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
+    MarkDegraded(*deadline_, &selection);
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

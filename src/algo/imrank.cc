@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/memory.h"
-#include "util/timer.h"
-
 namespace holim {
 
 ImRankSelector::ImRankSelector(const Graph& graph,
@@ -63,8 +60,7 @@ Result<SeedSelection> ImRankSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   const NodeId n = graph_.num_nodes();
 
   // Initial ranking: out-degree weighted by mean edge probability.
@@ -98,9 +94,7 @@ Result<SeedSelection> ImRankSelector::Select(uint32_t k) {
                     [&](NodeId a, NodeId b) { return scores[a] > scores[b]; });
   selection.seeds.assign(order.begin(), order.begin() + k);
   for (NodeId s : selection.seeds) selection.seed_scores.push_back(scores[s]);
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

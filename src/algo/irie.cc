@@ -4,9 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/memory.h"
-#include "util/timer.h"
-
 namespace holim {
 
 IrieSelector::IrieSelector(const Graph& graph, const InfluenceParams& params,
@@ -71,8 +68,7 @@ Result<SeedSelection> IrieSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   std::vector<double> ap, rank;
   std::vector<char> chosen(graph_.num_nodes(), 0);
   for (uint32_t i = 0; i < k; ++i) {
@@ -92,9 +88,7 @@ Result<SeedSelection> IrieSelector::Select(uint32_t k) {
     selection.seeds.push_back(best);
     selection.seed_scores.push_back(best_rank);
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

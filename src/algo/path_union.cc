@@ -4,9 +4,6 @@
 #include <numeric>
 #include <vector>
 
-#include "util/memory.h"
-#include "util/timer.h"
-
 namespace holim {
 
 namespace {
@@ -104,8 +101,7 @@ Result<SeedSelection> PathUnionSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   HOLIM_ASSIGN_OR_RETURN(std::vector<double> delta, scorer_.AssignScores());
   std::vector<NodeId> order(graph_.num_nodes());
   std::iota(order.begin(), order.end(), NodeId{0});
@@ -118,9 +114,7 @@ Result<SeedSelection> PathUnionSelector::Select(uint32_t k) {
     selection.seeds.push_back(order[i]);
     selection.seed_scores.push_back(delta[order[i]]);
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

@@ -7,8 +7,6 @@
 #include "diffusion/independent_cascade.h"
 #include "diffusion/linear_threshold.h"
 #include "util/logging.h"
-#include "util/memory.h"
-#include "util/timer.h"
 
 namespace holim {
 
@@ -28,17 +26,6 @@ ScoreGreedy::ScoreGreedy(const Graph& graph, IncrementalScoreFn score_fn,
       options_(options),
       activated_(graph.num_nodes()),
       rng_(options.seed) {}
-
-ScoreGreedy::ScoreGreedy(const Graph& graph, ScoreFn score_fn,
-                         const ScoreGreedyOptions& options)
-    : ScoreGreedy(graph,
-                  IncrementalScoreFn([fn = std::move(score_fn)](
-                                         const EpochSet& excluded,
-                                         const std::vector<NodeId>*,
-                                         std::vector<double>* scores) {
-                    fn(excluded, scores);
-                  }),
-                  options) {}
 
 void ScoreGreedy::InsertActivated(NodeId u) {
   if (activated_.Contains(u)) return;
@@ -128,8 +115,7 @@ Result<SeedSelection> ScoreGreedy::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   activated_.Reset(graph_.num_nodes());
   newly_activated_.clear();
   mc_peak_bytes_ = 0;
@@ -144,11 +130,7 @@ Result<SeedSelection> ScoreGreedy::Select(uint32_t k) {
   bool have_baseline = false;
   bool sequence_broken = false;
   for (uint32_t i = 0; i < k; ++i) {
-    if (deadline_ && !deadline_->Check().ok()) {
-      selection.degraded = true;
-      selection.stop_status = deadline_->status();
-      break;
-    }
+    if (DeadlineExpired(deadline_, &selection)) break;
     const std::vector<NodeId>* delta =
         (have_baseline && !sequence_broken) ? &newly_activated_ : nullptr;
     score_fn_(activated_, delta, &scores);
@@ -191,11 +173,9 @@ Result<SeedSelection> ScoreGreedy::Select(uint32_t k) {
     seed_set.Insert(best);
     GrowActivatedSet(best);
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
   selection.activation_bytes =
       activated_.size_bytes() + seed_set.size_bytes() + mc_peak_bytes_;
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 namespace {

@@ -9,7 +9,9 @@
 
 #include "graph/graph.h"
 #include "util/deadline.h"
+#include "util/memory.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace holim {
 
@@ -42,6 +44,26 @@ struct SeedSelection {
   /// kCancelled); kOk when `degraded` is false.
   Status stop_status;
 };
+
+/// Wall time and RSS growth of one selection run, from construction to
+/// Finish(): the elapsed_seconds / overhead_bytes every selector reports.
+class SelectionMeter {
+ public:
+  /// Stamps both fields on `selection` and hands it back.
+  SeedSelection Finish(SeedSelection selection) const;
+
+ private:
+  MemoryMeter memory_;
+  Timer timer_;
+};
+
+/// Marks `selection` as stopped early by `deadline` (its sticky status).
+void MarkDegraded(const Deadline& deadline, SeedSelection* selection);
+
+/// A round-boundary checkpoint: one Deadline::Check(). True, with
+/// `selection` marked degraded, once the deadline has expired; a null
+/// deadline never expires.
+bool DeadlineExpired(Deadline* deadline, SeedSelection* selection);
 
 /// \brief Common interface for all influence-maximization algorithms.
 ///

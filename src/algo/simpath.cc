@@ -5,9 +5,6 @@
 #include <limits>
 #include <queue>
 
-#include "util/memory.h"
-#include "util/timer.h"
-
 namespace holim {
 
 SimpathSelector::SimpathSelector(const Graph& graph,
@@ -73,8 +70,7 @@ Result<SeedSelection> SimpathSelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   const NodeId n = graph_.num_nodes();
   std::vector<char> no_exclusions(n, 0);
 
@@ -121,9 +117,7 @@ Result<SeedSelection> SimpathSelector::Select(uint32_t k) {
     if (!picked && heap.empty()) break;
   }
 
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

@@ -2,9 +2,7 @@
 
 #include <queue>
 
-#include "util/memory.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace holim {
 
@@ -63,25 +61,27 @@ void StaticGreedySelector::SampleSnapshots() {
 }
 
 double StaticGreedySelector::MarginalGain(
-    NodeId u, const std::vector<std::vector<char>>& covered) const {
-  // BFS from u in each snapshot counting nodes not yet covered.
+    NodeId u, const std::vector<std::vector<char>>& covered,
+    EpochSet* seen) const {
+  // DFS from u in each snapshot counting nodes not yet covered. `seen` is
+  // cleared per snapshot by an epoch bump, so a probe costs its reach, not
+  // n per snapshot.
   std::size_t gain = 0;
   std::vector<NodeId> stack;
-  std::vector<char> seen(graph_.num_nodes(), 0);
   for (std::size_t s = 0; s < snapshots_.size(); ++s) {
     const Snapshot& snap = snapshots_[s];
-    std::fill(seen.begin(), seen.end(), 0);
+    seen->Reset(graph_.num_nodes());
     stack.clear();
     stack.push_back(u);
-    seen[u] = 1;
+    seen->Insert(u);
     while (!stack.empty()) {
       const NodeId x = stack.back();
       stack.pop_back();
       if (!covered[s][x]) ++gain;
       for (EdgeId e = snap.offsets[x]; e < snap.offsets[x + 1]; ++e) {
         const NodeId y = snap.targets[e];
-        if (!seen[y]) {
-          seen[y] = 1;
+        if (!seen->Contains(y)) {
+          seen->Insert(y);
           stack.push_back(y);
         }
       }
@@ -130,18 +130,13 @@ Result<SeedSelection> StaticGreedySelector::Select(uint32_t k) {
     return Status::InvalidArgument("k exceeds node count");
   }
   SeedSelection selection;
-  MemoryMeter meter;
-  Timer timer;
+  SelectionMeter meter;
   // The sample is a pure function of (graph, params, options), so it is
   // drawn once and kept: re-Select on a cached selector (engine Workspace
   // warm reuse) skips phase 1 while staying bitwise-identical to a cold
   // run.
-  if (deadline_ && !deadline_->Check().ok()) {
-    selection.degraded = true;
-    selection.stop_status = deadline_->status();
-    selection.elapsed_seconds = timer.ElapsedSeconds();
-    selection.overhead_bytes = meter.OverheadBytes();
-    return selection;
+  if (DeadlineExpired(deadline_, &selection)) {
+    return meter.Finish(std::move(selection));
   }
   if (snapshots_.empty()) SampleSnapshots();
 
@@ -156,19 +151,16 @@ Result<SeedSelection> StaticGreedySelector::Select(uint32_t k) {
     bool operator<(const Entry& other) const { return gain < other.gain; }
   };
   std::priority_queue<Entry> heap;
+  EpochSet seen(graph_.num_nodes());
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    heap.push({u, MarginalGain(u, covered), 0});
+    heap.push({u, MarginalGain(u, covered, &seen), 0});
   }
   uint32_t checked_round = 0;  // the pre-sample check covers round 0
   while (selection.seeds.size() < k && !heap.empty()) {
     const uint32_t round = static_cast<uint32_t>(selection.seeds.size());
-    if (deadline_ && round != checked_round) {
+    if (round != checked_round) {
       checked_round = round;
-      if (!deadline_->Check().ok()) {
-        selection.degraded = true;
-        selection.stop_status = deadline_->status();
-        break;
-      }
+      if (DeadlineExpired(deadline_, &selection)) break;
     }
     Entry top = heap.top();
     heap.pop();
@@ -178,13 +170,11 @@ Result<SeedSelection> StaticGreedySelector::Select(uint32_t k) {
       Cover(top.node, &covered);
       continue;
     }
-    top.gain = MarginalGain(top.node, covered);
+    top.gain = MarginalGain(top.node, covered, &seen);
     top.round = round;
     heap.push(top);
   }
-  selection.elapsed_seconds = timer.ElapsedSeconds();
-  selection.overhead_bytes = meter.OverheadBytes();
-  return selection;
+  return meter.Finish(std::move(selection));
 }
 
 }  // namespace holim

@@ -46,9 +46,10 @@ class StaticGreedySelector : public SeedSelector {
 
  private:
   void SampleSnapshots();
-  /// Marginal coverage of `u` given the already-covered node sets.
-  double MarginalGain(NodeId u,
-                      const std::vector<std::vector<char>>& covered) const;
+  /// Marginal coverage of `u` given the already-covered node sets;
+  /// `seen` is the caller's reusable visited set.
+  double MarginalGain(NodeId u, const std::vector<std::vector<char>>& covered,
+                      EpochSet* seen) const;
   void Cover(NodeId u, std::vector<std::vector<char>>* covered) const;
 
   const Graph& graph_;

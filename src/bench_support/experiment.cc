@@ -135,17 +135,22 @@ std::string ResultsDir() {
 }
 
 void DeclareCommonFlags(BenchArgs* args, const CommonBenchConfig& defaults,
-                        const std::string& scale_note) {
+                        const std::string& scale_note, unsigned flags) {
   args->Declare("scale", "dataset scale factor vs paper size (default " +
                              CsvWriter::Num(defaults.scale) + scale_note +
                              ")");
-  args->Declare("mc", "Monte-Carlo simulations per estimate (default " +
-                          std::to_string(defaults.mc) + ")");
-  args->Declare("max_k", "largest seed-set size (default " +
-                             std::to_string(defaults.max_k) + ")");
-  args->Declare("seed",
-                "global RNG seed (default " + std::to_string(defaults.seed) +
-                    ")");
+  if (flags & kMcFlag) {
+    args->Declare("mc", "Monte-Carlo simulations per estimate (default " +
+                            std::to_string(defaults.mc) + ")");
+  }
+  if (flags & kMaxKFlag) {
+    args->Declare("max_k", "largest seed-set size (default " +
+                               std::to_string(defaults.max_k) + ")");
+  }
+  if (flags & kSeedFlag) {
+    args->Declare("seed", "global RNG seed (default " +
+                              std::to_string(defaults.seed) + ")");
+  }
 }
 
 void DeclareCommonOptions(BenchArgs* args, const CommonOptionsSpec& spec) {

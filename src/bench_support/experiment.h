@@ -68,14 +68,24 @@ struct CommonBenchConfig {
   uint32_t max_k = 100;       // largest seed-set size
   uint64_t seed = 42;
 };
+/// The preamble flags besides --scale, as a bit set: a binary declares
+/// only the ones it reads, so passing any other is an unknown-flag error.
+enum CommonFlag : unsigned {
+  kMcFlag = 1u << 0,
+  kMaxKFlag = 1u << 1,
+  kSeedFlag = 1u << 2,
+  kAllCommonFlags = kMcFlag | kMaxKFlag | kSeedFlag,
+};
 /// Both take the defaults the flags fall back to, so the help text
 /// cannot drift from the value a binary actually runs at; `scale_note`
-/// is appended to the --scale default (e.g. "; capped at 0.05").
+/// is appended to the --scale default (e.g. "; capped at 0.05"). An
+/// undeclared flag reads as its default.
 CommonBenchConfig ReadCommonConfig(const BenchArgs& args,
                                    const CommonBenchConfig& defaults = {});
 void DeclareCommonFlags(BenchArgs* args,
                         const CommonBenchConfig& defaults = {},
-                        const std::string& scale_note = "");
+                        const std::string& scale_note = "",
+                        unsigned flags = kAllCommonFlags);
 
 /// \brief The shared `--oracle` / `--rescore` / `--threads` flag family
 /// of the bench binaries and holim_cli, declared and parsed from ONE spec

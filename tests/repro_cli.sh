@@ -1,7 +1,8 @@
 #!/bin/sh
 # Command-line contract of bench_repro, the figure driver:
-#  - a flag the chosen figure does not read, and a missing or unknown
-#    --figure, exit 2 (InvalidArgument) and say why;
+#  - a flag the chosen figure does not read (an optional one, or one of
+#    the common --mc/--max_k/--seed), and a missing or unknown --figure,
+#    exit 2 (InvalidArgument) and say why;
 #  - --figure=<id> --help prints that figure's own default --scale;
 #  - a tiny run exits 0 and writes a non-empty results/<id>.csv.
 #
@@ -30,6 +31,13 @@ expect() {
 }
 
 expect 2 "figure fig5e_lambda" --figure=fig5e_lambda --oracle=sketch
+expect 2 "figure fig6j_memory_overhead" --figure=fig6j_memory_overhead --mc=5
+expect 2 "figure fig6j_memory_overhead" \
+  --figure=fig6j_memory_overhead --max_k=3
+expect 2 "figure fig6j_memory_overhead" --figure=fig6j_memory_overhead --seed=9
+expect 2 "unknown flag: --max_k" --figure=fig5a_twitter_groundtruth --max_k=3
+expect 2 "unknown flag: --mc" --figure=table2_datasets --mc=5
+expect 0 "--seed: global RNG seed" --figure=table2_datasets --help
 expect 2 "fig7j_large_memory" --figure=no_such_figure
 expect 2 "table3_easyim_vs_tim" --scale=0.01
 expect 0 "fig2_model_comparison" --help

@@ -18,7 +18,8 @@ TEST(ScoreGreedyTest, PicksArgmaxEachRound) {
   options.activation = ActivationStrategy::kSeedsOnly;
   ScoreGreedy driver(
       g,
-      [](const EpochSet& excluded, std::vector<double>* scores) {
+      [](const EpochSet& excluded, const std::vector<NodeId>*,
+         std::vector<double>* scores) {
         scores->resize(10);
         for (NodeId u = 0; u < 10; ++u) {
           (*scores)[u] = excluded.Contains(u) ? -1e30 : u;
